@@ -95,8 +95,13 @@ pub fn build_ilp(candidates: &CandidateSet) -> IlpArtifacts {
     let mut subquery_vars: HashMap<SubqueryKey, VarId> = HashMap::new();
     let mut step_vars: HashMap<StepKey, (VarId, f64)> = HashMap::new();
 
-    // Sub-query maintenance variables and their cost constraints.
-    for (key, order) in &candidates.subquery_orders {
+    // Sub-query maintenance variables and their cost constraints, in key
+    // order: `subquery_orders` is a hash map, and the variable numbering
+    // fixes the solver's summation order and so the objective's last bits.
+    let mut subqueries: Vec<(&SubqueryKey, &DecoratedProbeOrder)> =
+        candidates.subquery_orders.iter().collect();
+    subqueries.sort_by(|a, b| a.0.cmp(b.0));
+    for (key, order) in subqueries {
         let x = model.add_binary(format!("x'[mir={} start=R{}]", key.0, key.1 .0), 0.0);
         subquery_vars.insert(key.clone(), x);
         let mut expr = LinExpr::new();
@@ -369,5 +374,26 @@ mod tests {
             .map(|c| c.step_keys.len())
             .sum();
         assert!(artifacts.step_vars.len() < total_steps);
+    }
+
+    #[test]
+    fn variable_order_does_not_depend_on_hash_map_order() {
+        // Every enumeration fills fresh hash maps with their own random
+        // iteration order; the model must still come out the same.
+        let (catalog, stats, queries) = setup();
+        let names = || {
+            let cands =
+                enumerate_candidates(&catalog, &stats, &queries, &PlanSpaceConfig::default());
+            assert!(cands.subquery_orders.len() > 1);
+            let model = build_ilp(&cands).model;
+            model
+                .vars()
+                .map(|v| model.var_name(v).to_string())
+                .collect::<Vec<_>>()
+        };
+        let first = names();
+        for _ in 0..8 {
+            assert_eq!(names(), first);
+        }
     }
 }
