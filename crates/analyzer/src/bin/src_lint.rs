@@ -4,12 +4,15 @@
 //! conventions rather than language rules:
 //!
 //! 1. **No SipHash in hot crates** — `crates/common` and `crates/runtime`
-//!    sit on the per-tuple path; `std::collections::HashMap`/`HashSet`
+//!    sit on the per-tuple path and `crates/ilp` on the per-node path of
+//!    every (re-)optimization; `std::collections::HashMap`/`HashSet`
 //!    default to SipHash, which an earlier perf PR deliberately replaced
 //!    with `FxHashMap`/`FxHashSet`. New code must not regress this.
-//! 2. **No panics on the tuple hot path** — `store.rs`, `tuple.rs`,
-//!    `shard.rs` and `segment.rs` process every stored/probed tuple; an
-//!    `unwrap()` or `panic!` there takes a worker thread down mid-stream.
+//! 2. **No panics on hot paths** — `store.rs`, `tuple.rs`, `shard.rs` and
+//!    `segment.rs` process every stored/probed tuple; an `unwrap()` or
+//!    `panic!` there takes a worker thread down mid-stream. `solver.rs`
+//!    and `propagation.rs` run per branch-and-bound node, inside deploys
+//!    and epoch re-plans.
 //! 3. **No wall clock off the stream clock** — event time comes from tuple
 //!    timestamps and the trace clock; `SystemTime::now` anywhere in
 //!    `crates/` silently mixes wall time into windowing or telemetry.
@@ -27,10 +30,17 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 /// Crates whose non-test code must not use SipHash maps.
-const HOT_CRATES: &[&str] = &["common", "runtime"];
+const HOT_CRATES: &[&str] = &["common", "runtime", "ilp"];
 
 /// File names (within any hot crate) whose non-test code must not panic.
-const HOT_PATH_FILES: &[&str] = &["store.rs", "tuple.rs", "shard.rs", "segment.rs"];
+const HOT_PATH_FILES: &[&str] = &[
+    "store.rs",
+    "tuple.rs",
+    "shard.rs",
+    "segment.rs",
+    "solver.rs",
+    "propagation.rs",
+];
 
 /// Files allowed to keep `std::collections` maps in non-test code, as
 /// `crate/relative/path.rs` relative to `crates/`. Add entries only with

@@ -264,14 +264,13 @@ impl ClashSystem {
             planner: self.config.planner,
             enabled: true,
         };
-        let (controller, plan) = AdaptiveController::new(
+        let (controller, report) = AdaptiveController::new(
             self.catalog.clone(),
             self.queries.clone(),
             self.stats.clone(),
             adaptive_config,
         )?;
-        let planner = Planner::new(&self.catalog, &self.stats, self.config.planner);
-        let report = planner.plan(&self.queries, strategy)?;
+        let plan = report.plan.clone();
         let mut engine_config = self.config.engine;
         engine_config.collect_results = self.config.collect_results;
         let controller = Arc::new(Mutex::new(controller));
@@ -550,6 +549,22 @@ mod tests {
         assert_eq!(snap.total_results(), 1);
         assert_eq!(clash.results().len(), 1);
         assert!(clash.last_report().is_some());
+    }
+
+    #[test]
+    fn last_report_describes_the_deployed_plan() {
+        for runtime in [RuntimeMode::Local, RuntimeMode::Parallel(2)] {
+            let mut clash = system_with_rst();
+            clash.config.runtime = runtime;
+            clash.register_query("q2", "S(b), T(b)").unwrap();
+            let reported = clash.deploy(Strategy::GlobalIlp).unwrap().plan.clone();
+            let deployed = match clash.engine.as_ref().expect("deployed") {
+                EngineHandle::Local(engine) => engine.plan().clone(),
+                EngineHandle::Parallel(engine) => (*engine.plan()).clone(),
+            };
+            assert_eq!(reported, deployed);
+            assert_eq!(clash.last_report().unwrap().plan, deployed);
+        }
     }
 
     #[test]

@@ -14,14 +14,13 @@
 use crate::model::{Assignment, Model, Sense, VarId};
 use crate::propagation::{Domains, PropagationResult, Propagator};
 
-/// Indices of the model's choice constraints (`Σ x_i = 1` with unit
-/// coefficients).
-pub(crate) fn choice_constraints(model: &Model) -> Vec<usize> {
+/// Members of the model's choice constraints (`Σ x_i = 1` with unit
+/// coefficients), one list per constraint in constraint order.
+pub(crate) fn choice_groups(model: &Model) -> Vec<Vec<VarId>> {
     model
         .constraints()
         .iter()
-        .enumerate()
-        .filter(|(_, c)| {
+        .filter(|c| {
             c.sense == Sense::Eq
                 && (c.rhs - 1.0).abs() < 1e-9
                 && c.expr
@@ -29,86 +28,69 @@ pub(crate) fn choice_constraints(model: &Model) -> Vec<usize> {
                     .iter()
                     .all(|(_, coeff)| (coeff - 1.0).abs() < 1e-9)
         })
-        .map(|(i, _)| i)
+        .map(|c| c.expr.terms().iter().map(|(v, _)| *v).collect())
         .collect()
 }
 
-/// Objective value of the variables fixed to 1 in the given domains.
-pub(crate) fn fixed_objective(model: &Model, domains: &Domains) -> f64 {
-    domains.ones().map(|v| model.objective_coeff(v)).sum()
+/// `true` when the choice group already has a member fixed to 1.
+fn satisfied(domains: &Domains, group: &[VarId]) -> bool {
+    group.iter().any(|v| domains.get(*v) == Some(true))
 }
 
-/// `true` when the choice constraint already has a member fixed to 1.
-fn satisfied(model: &Model, domains: &Domains, ci: usize) -> bool {
-    model.constraints()[ci]
-        .expr
-        .terms()
-        .iter()
-        .any(|(v, _)| domains.get(*v) == Some(true))
+/// Objective value of the variables fixed to 1 in the given domains.
+fn fixed_objective(model: &Model, domains: &Domains) -> f64 {
+    domains.ones().map(|v| model.objective_coeff(v)).sum()
 }
 
 /// Runs the greedy heuristic. Returns a feasible assignment and its
 /// objective, or `None` when the heuristic runs into a dead end (which for
 /// the optimizer's models means the model itself is infeasible).
 pub fn greedy(model: &Model) -> Option<(Assignment, f64)> {
-    let propagator = Propagator::new(model);
+    let mut propagator = Propagator::new(model);
     let mut domains = Domains::free(model.num_vars());
     if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut domains) {
         return None;
     }
-    let choices = choice_constraints(model);
+    let groups = choice_groups(model);
 
     loop {
-        // Pick the unsatisfied choice constraint with the fewest free
+        // Pick the unsatisfied choice group with the fewest free
         // alternatives (fail-first), then commit its cheapest alternative.
-        let mut target: Option<(usize, usize)> = None; // (constraint, free count)
-        for &ci in &choices {
-            if satisfied(model, &domains, ci) {
+        let mut target: Option<(&[VarId], usize)> = None; // (group, free count)
+        for group in &groups {
+            if satisfied(&domains, group) {
                 continue;
             }
-            let free = model.constraints()[ci]
-                .expr
-                .terms()
-                .iter()
-                .filter(|(v, _)| domains.is_free(*v))
-                .count();
+            let free = group.iter().filter(|v| domains.is_free(**v)).count();
             if target.map(|(_, best)| free < best).unwrap_or(true) {
-                target = Some((ci, free));
+                target = Some((group, free));
             }
         }
-        let Some((ci, _)) = target else { break };
+        let Some((group, _)) = target else { break };
 
-        let candidates: Vec<VarId> = model.constraints()[ci]
-            .expr
-            .terms()
-            .iter()
-            .map(|(v, _)| *v)
-            .filter(|v| domains.is_free(*v))
-            .collect();
-        if candidates.is_empty() {
-            return None;
-        }
-        let mut best: Option<(VarId, Domains, f64)> = None;
-        for candidate in candidates {
-            let mut trial = domains.clone();
-            if !trial.fix(candidate, true) {
+        // Try every free alternative and roll back; remember the cheapest.
+        let mut best: Option<(VarId, f64)> = None;
+        for &candidate in group {
+            if !domains.is_free(candidate) {
                 continue;
             }
-            if let PropagationResult::Conflict(_) = propagator.propagate_from(&mut trial, candidate)
+            let mark = domains.mark();
+            domains.fix(candidate, true);
+            if let PropagationResult::Fixpoint(_) =
+                propagator.propagate_from(&mut domains, candidate)
             {
-                continue;
+                let objective = fixed_objective(model, &domains);
+                if best.map(|(_, obj)| objective < obj).unwrap_or(true) {
+                    best = Some((candidate, objective));
+                }
             }
-            let objective = fixed_objective(model, &trial);
-            if best
-                .as_ref()
-                .map(|(_, _, obj)| objective < *obj)
-                .unwrap_or(true)
-            {
-                best = Some((candidate, trial, objective));
-            }
+            domains.undo(mark);
         }
-        let (_, next, _) = best?;
-        domains = next;
+        // Propagation is deterministic: redoing the winner's trial
+        // reproduces its domains.
+        let (choice, _) = best?;
+        domains.fix(choice, true);
+        propagator.propagate_from(&mut domains, choice);
     }
 
     // Complete the assignment: free variables default to 0; repair any
@@ -240,11 +222,10 @@ mod tests {
 
     #[test]
     fn choice_constraint_detection() {
-        let (m, ..) = sharing_model();
-        let choices = choice_constraints(&m);
-        assert_eq!(choices.len(), 2);
-        for ci in choices {
-            assert_eq!(m.constraints()[ci].sense, Sense::Eq);
-        }
+        let (m, x1, x2) = sharing_model();
+        let groups = choice_groups(&m);
+        assert_eq!(groups.len(), 2);
+        assert_eq!(groups[0], vec![x1, x2]);
+        assert_eq!(groups[1].len(), 1);
     }
 }

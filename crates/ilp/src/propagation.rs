@@ -11,10 +11,15 @@
 
 use crate::model::{Model, Sense, VarId};
 
-/// Three-valued domains of all variables.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Three-valued domains of all variables, with a trail of the fixes made
+/// so that a search can roll back to an earlier state without copying.
+#[derive(Debug, Clone)]
 pub struct Domains {
     values: Vec<Option<bool>>,
+    /// Bitset of the variables fixed to 1.
+    ones: Vec<u64>,
+    /// The fixed variables, in the order they were fixed.
+    trail: Vec<VarId>,
 }
 
 impl Domains {
@@ -22,6 +27,8 @@ impl Domains {
     pub fn free(n: usize) -> Self {
         Domains {
             values: vec![None; n],
+            ones: vec![0; n.div_ceil(64)],
+            trail: Vec::with_capacity(n),
         }
     }
 
@@ -41,20 +48,40 @@ impl Domains {
         match self.values[var.index()] {
             None => {
                 self.values[var.index()] = Some(value);
+                self.ones[var.index() / 64] |= u64::from(value) << (var.index() % 64);
+                self.trail.push(var);
                 true
             }
             Some(v) => v == value,
         }
     }
 
+    /// The current point of the trail, to return to with [`Domains::undo`].
+    pub fn mark(&self) -> usize {
+        self.trail.len()
+    }
+
+    /// Frees every variable fixed since `mark` was taken.
+    pub fn undo(&mut self, mark: usize) {
+        for v in self.trail.drain(mark..) {
+            self.values[v.index()] = None;
+            self.ones[v.index() / 64] &= !(1 << (v.index() % 64));
+        }
+    }
+
+    /// The variables fixed since `mark` was taken, in fixing order.
+    pub fn fixed_since(&self, mark: usize) -> &[VarId] {
+        &self.trail[mark..]
+    }
+
     /// Number of fixed variables.
     pub fn fixed_count(&self) -> usize {
-        self.values.iter().filter(|v| v.is_some()).count()
+        self.trail.len()
     }
 
     /// `true` when every variable is fixed.
     pub fn is_complete(&self) -> bool {
-        self.values.iter().all(|v| v.is_some())
+        self.trail.len() == self.values.len()
     }
 
     /// Index of the first free variable, if any.
@@ -73,13 +100,24 @@ impl Domains {
         )
     }
 
-    /// Ids of variables currently fixed to 1.
+    /// Ids of variables currently fixed to 1, in index order.
     pub fn ones(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.values
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| **v == Some(true))
-            .map(|(i, _)| VarId(i as u32))
+        self.ones.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let bit = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    VarId((w * 64 + bit) as u32)
+                })
+            })
+        })
+    }
+
+    /// The variables fixed to 1 as a bitset: bit `i % 64` of word `i / 64`
+    /// is variable `i`.
+    pub fn ones_bits(&self) -> &[u64] {
+        &self.ones
     }
 }
 
@@ -94,12 +132,20 @@ pub enum PropagationResult {
     Conflict(usize),
 }
 
-/// Propagator: precomputes the variable → constraint adjacency of a model.
+/// Propagator: precomputes the variable → constraint adjacency of a model
+/// and keeps the work queue between runs, so a run allocates nothing.
 #[derive(Debug)]
 pub struct Propagator<'a> {
     model: &'a Model,
     /// For each variable, the indices of the constraints it appears in.
     var_constraints: Vec<Vec<usize>>,
+    /// Constraints still to examine; processed last-in, first-out.
+    queue: Vec<usize>,
+    /// `in_queue[c]` while constraint `c` is on the queue. All `false`
+    /// between runs.
+    in_queue: Vec<bool>,
+    /// Variables fixed by the constraint being examined.
+    newly_fixed: Vec<VarId>,
 }
 
 impl<'a> Propagator<'a> {
@@ -114,6 +160,9 @@ impl<'a> Propagator<'a> {
         Propagator {
             model,
             var_constraints,
+            queue: Vec::with_capacity(model.num_constraints()),
+            in_queue: vec![false; model.num_constraints()],
+            newly_fixed: Vec::new(),
         }
     }
 
@@ -123,27 +172,29 @@ impl<'a> Propagator<'a> {
     }
 
     /// Propagates all constraints to a fixpoint.
-    pub fn propagate_all(&self, domains: &mut Domains) -> PropagationResult {
-        let all: Vec<usize> = (0..self.model.num_constraints()).collect();
-        self.propagate_queue(domains, all)
+    pub fn propagate_all(&mut self, domains: &mut Domains) -> PropagationResult {
+        self.queue.extend(0..self.model.num_constraints());
+        self.in_queue.fill(true);
+        self.run(domains)
     }
 
     /// Propagates starting from the constraints involving `seed_var`
     /// (typically a variable that was just fixed by a branching decision).
-    pub fn propagate_from(&self, domains: &mut Domains, seed_var: VarId) -> PropagationResult {
-        self.propagate_queue(domains, self.var_constraints[seed_var.index()].clone())
+    pub fn propagate_from(&mut self, domains: &mut Domains, seed_var: VarId) -> PropagationResult {
+        for &ci in &self.var_constraints[seed_var.index()] {
+            self.queue.push(ci);
+            self.in_queue[ci] = true;
+        }
+        self.run(domains)
     }
 
-    fn propagate_queue(&self, domains: &mut Domains, mut queue: Vec<usize>) -> PropagationResult {
+    fn run(&mut self, domains: &mut Domains) -> PropagationResult {
         const EPS: f64 = 1e-9;
+        let model = self.model;
         let mut fixed_total = 0usize;
-        let mut in_queue = vec![false; self.model.num_constraints()];
-        for &ci in &queue {
-            in_queue[ci] = true;
-        }
-        while let Some(ci) = queue.pop() {
-            in_queue[ci] = false;
-            let c = &self.model.constraints()[ci];
+        while let Some(ci) = self.queue.pop() {
+            self.in_queue[ci] = false;
+            let c = &model.constraints()[ci];
             // Bounds of the LHS under the current domains.
             let mut min_lhs = 0.0;
             let mut max_lhs = 0.0;
@@ -163,14 +214,13 @@ impl<'a> Propagator<'a> {
             let need_ge = matches!(c.sense, Sense::Ge | Sense::Eq);
             let need_le = matches!(c.sense, Sense::Le | Sense::Eq);
             if need_ge && max_lhs < c.rhs - EPS {
-                return PropagationResult::Conflict(ci);
+                return self.conflict(ci);
             }
             if need_le && min_lhs > c.rhs + EPS {
-                return PropagationResult::Conflict(ci);
+                return self.conflict(ci);
             }
             // Try to fix free variables whose "wrong" value would violate
             // the constraint.
-            let mut newly_fixed: Vec<VarId> = Vec::new();
             for (v, coeff) in c.expr.terms() {
                 if !domains.is_free(*v) {
                     continue;
@@ -181,37 +231,44 @@ impl<'a> Propagator<'a> {
                 }
                 if need_ge && max_lhs - amp < c.rhs - EPS {
                     // The variable must contribute its maximum.
-                    let value = *coeff > 0.0;
-                    if !domains.fix(*v, value) {
-                        return PropagationResult::Conflict(ci);
+                    if !domains.fix(*v, *coeff > 0.0) {
+                        return self.conflict(ci);
                     }
-                    newly_fixed.push(*v);
+                    self.newly_fixed.push(*v);
                 } else if need_le && min_lhs + amp > c.rhs + EPS {
                     // The variable must contribute its minimum.
-                    let value = *coeff < 0.0;
-                    if !domains.fix(*v, value) {
-                        return PropagationResult::Conflict(ci);
+                    if !domains.fix(*v, *coeff < 0.0) {
+                        return self.conflict(ci);
                     }
-                    newly_fixed.push(*v);
+                    self.newly_fixed.push(*v);
                 }
             }
-            fixed_total += newly_fixed.len();
-            for v in newly_fixed {
+            fixed_total += self.newly_fixed.len();
+            for v in self.newly_fixed.drain(..) {
                 for &other in &self.var_constraints[v.index()] {
-                    if !in_queue[other] {
-                        in_queue[other] = true;
-                        queue.push(other);
+                    if !self.in_queue[other] {
+                        self.in_queue[other] = true;
+                        self.queue.push(other);
                     }
                 }
                 // Re-examine the current constraint as well: fixing one of
                 // its variables changes the bounds for the others.
-                if !in_queue[ci] {
-                    in_queue[ci] = true;
-                    queue.push(ci);
+                if !self.in_queue[ci] {
+                    self.in_queue[ci] = true;
+                    self.queue.push(ci);
                 }
             }
         }
         PropagationResult::Fixpoint(fixed_total)
+    }
+
+    /// Empties the scratch state left by an interrupted run.
+    fn conflict(&mut self, ci: usize) -> PropagationResult {
+        for c in self.queue.drain(..) {
+            self.in_queue[c] = false;
+        }
+        self.newly_fixed.clear();
+        PropagationResult::Conflict(ci)
     }
 }
 
@@ -225,7 +282,7 @@ mod tests {
         let mut m = Model::new();
         let x = m.add_binary("x", 1.0);
         m.add_choose_one("only", [x]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(1);
         assert_eq!(p.propagate_all(&mut d), PropagationResult::Fixpoint(1));
         assert_eq!(d.get(x), Some(true));
@@ -239,7 +296,7 @@ mod tests {
         let x = m.add_binary("x", 0.0);
         let y = m.add_binary("y", 1.0);
         m.add_implies_any("imp", x, [y]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         assert!(d.fix(x, true));
         assert_eq!(p.propagate_from(&mut d, x), PropagationResult::Fixpoint(1));
@@ -255,7 +312,7 @@ mod tests {
         let y2 = m.add_binary("y2", 6.0);
         let expr = LinExpr::from_terms([(x, -10.0), (y1, 4.0), (y2, 6.0)]);
         m.add_constraint("cost", expr, Sense::Ge, 0.0);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(3);
         d.fix(x, true);
         assert_eq!(p.propagate_from(&mut d, x), PropagationResult::Fixpoint(2));
@@ -270,7 +327,7 @@ mod tests {
         let b = m.add_binary("b", 0.0);
         let c = m.add_binary("c", 0.0);
         m.add_choose_one("choice", [a, b, c]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(3);
         d.fix(a, true);
         assert!(matches!(
@@ -287,7 +344,7 @@ mod tests {
         let a = m.add_binary("a", 0.0);
         let b = m.add_binary("b", 0.0);
         m.add_choose_one("choice", [a, b]);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         d.fix(a, false);
         d.fix(b, false);
@@ -326,7 +383,7 @@ mod tests {
         let x = m.add_binary("x", 0.0);
         let y = m.add_binary("y", 0.0);
         m.add_constraint("le", LinExpr::sum([x, y]), Sense::Le, 1.0);
-        let p = Propagator::new(&m);
+        let mut p = Propagator::new(&m);
         let mut d = Domains::free(2);
         d.fix(x, true);
         assert!(matches!(

@@ -2,19 +2,28 @@
 //!
 //! The solver performs depth-first branch-and-bound over the binary
 //! domains, with constraint propagation (see [`crate::propagation`]) at
-//! every node and the greedy construction of [`crate::greedy`] as the
+//! every node and the greedy construction of [`crate::greedy()`] as the
 //! initial incumbent. The lower bound at a node is the objective mass of
 //! the variables already fixed to 1 (plus any negative coefficients still
-//! free) — for the non-negative step-cost objectives produced by the
-//! optimizer this is the exact cost of the partially committed plan, so
-//! pruning is effective once a good incumbent is known.
+//! free), plus, for every unsatisfied choice group, the cheapest set of
+//! steps one of its free alternatives would still force. For the
+//! non-negative step-cost objectives produced by the optimizer the first
+//! part is the exact cost of the partially committed plan, so pruning is
+//! effective once a good incumbent is known.
+//!
+//! A node allocates nothing unless it improves the incumbent: the search
+//! fixes and propagates on one set of domains and rolls back along its
+//! trail, and the bound and branching choice work on lists precomputed
+//! once per solve. The tree itself (branching choice, bound bits,
+//! acceptance, node count) is pinned by recorded runs in
+//! `tests/property_tests.rs`.
 //!
 //! The solver is exact when it terminates within its node/time limits and
 //! degrades into an anytime heuristic (returning the best incumbent) when
 //! it does not, mirroring how the paper treats optimization time as a
 //! budget that must stay compatible with streaming (Section VII-C).
 
-use crate::greedy::{choice_constraints, fixed_objective, greedy};
+use crate::greedy::{choice_groups, greedy};
 use crate::model::{Assignment, Model, VarId};
 use crate::propagation::{Domains, PropagationResult, Propagator};
 use serde::{Deserialize, Serialize};
@@ -59,18 +68,6 @@ impl Default for SolverConfig {
     }
 }
 
-impl SolverConfig {
-    /// A configuration with a tight node budget, useful when optimization
-    /// runs inside an epoch boundary.
-    pub fn quick() -> Self {
-        SolverConfig {
-            node_limit: 20_000,
-            time_limit: Duration::from_millis(500),
-            ..SolverConfig::default()
-        }
-    }
-}
-
 /// Result of a solve call.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Solution {
@@ -93,29 +90,43 @@ impl Solution {
     }
 }
 
-/// Fixed-width bitset over the model's variables, used for the
-/// "necessary steps" lower bound.
-type VarBitset = Vec<u64>;
-
-fn bitset_new(n_vars: usize) -> VarBitset {
-    vec![0u64; n_vars.div_ceil(64)]
+/// What a pass over a choice group's members finds at one node.
+#[derive(Debug, Clone, Copy, Default)]
+struct GroupScan {
+    /// Some member is fixed to 1.
+    satisfied: bool,
+    /// Number of free members (counted only while unsatisfied).
+    free: usize,
+    /// The first free member.
+    first_free: Option<VarId>,
 }
 
-fn bitset_set(b: &mut VarBitset, v: VarId) {
-    b[v.index() / 64] |= 1u64 << (v.index() % 64);
-}
-
+/// The depth-first search. One `Domains` is shared by the whole search and
+/// rolled back along its trail, and the bound and branching work in
+/// buffers sized once, so a node allocates nothing unless it improves the
+/// incumbent.
 struct SearchState<'a> {
     model: &'a Model,
     propagator: Propagator<'a>,
-    choices: Vec<usize>,
-    /// For every variable that appears in a choice constraint: the set of
-    /// variables that are forced to 1 when it is selected at the root
-    /// (computed once by propagation). Used for the lower bound: whatever
+    domains: Domains,
+    /// Members of every choice group, in constraint order.
+    groups: Vec<Vec<VarId>>,
+    /// The state of every choice group at the current node.
+    scans: Vec<GroupScan>,
+    /// Bitset of the variables with a non-zero objective coefficient.
+    cost_mask: Vec<u64>,
+    /// Variables with a negative objective coefficient, in index order.
+    negative_vars: Vec<(VarId, f64)>,
+    /// For every choice-group member: the positive-cost variables, free at
+    /// the root, that propagation forces to 1 when the member is selected
+    /// there, in index order. Used for the lower bound: whatever
     /// alternative of an unsatisfied choice group is eventually selected,
-    /// the intersection of the requirement sets of its still-free
-    /// alternatives will be paid for.
-    requirements: Vec<Option<VarBitset>>,
+    /// the cheapest requirement set of its still-free alternatives will be
+    /// paid for.
+    requirements: Vec<Vec<(VarId, f64)>>,
+    /// Bound scratch: per variable, the first group whose free members
+    /// require it.
+    counted_by: Vec<u32>,
     config: SolverConfig,
     started: Instant,
     nodes: u64,
@@ -124,112 +135,119 @@ struct SearchState<'a> {
 }
 
 impl<'a> SearchState<'a> {
-    /// Precomputes the requirement bitsets of all choice-alternative
-    /// variables by propagating `x = 1` from the root domains.
-    fn precompute_requirements(
-        model: &Model,
-        propagator: &Propagator<'_>,
-        root: &Domains,
-        choices: &[usize],
-    ) -> Vec<Option<VarBitset>> {
-        let mut requirements: Vec<Option<VarBitset>> = vec![None; model.num_vars()];
-        for &ci in choices {
-            for (x, _) in model.constraints()[ci].expr.terms() {
-                if requirements[x.index()].is_some() {
-                    continue;
+    /// Sets up the search from the propagated root domains and computes
+    /// the requirement lists by propagating `x = 1` for every choice-group
+    /// member.
+    fn new(
+        model: &'a Model,
+        mut propagator: Propagator<'a>,
+        mut domains: Domains,
+        config: SolverConfig,
+        started: Instant,
+        incumbent: Option<(Assignment, f64)>,
+    ) -> Self {
+        let groups = choice_groups(model);
+        let mut requirements: Vec<Vec<(VarId, f64)>> = vec![Vec::new(); model.num_vars()];
+        for &x in groups.iter().flatten() {
+            let mark = domains.mark();
+            // A member fixed at the root is never free below it, and a
+            // member whose selection conflicts requires nothing (the search
+            // discovers the conflict itself).
+            if domains.fix(x, true) {
+                if let PropagationResult::Fixpoint(_) = propagator.propagate_from(&mut domains, x) {
+                    let req = &mut requirements[x.index()];
+                    req.clear();
+                    for &v in domains.fixed_since(mark) {
+                        let c = model.objective_coeff(v);
+                        if c > 0.0 && domains.get(v) == Some(true) {
+                            req.push((v, c));
+                        }
+                    }
+                    req.sort_unstable_by_key(|(v, _)| *v);
                 }
-                let mut trial = root.clone();
-                if !trial.fix(*x, true) {
-                    continue;
-                }
-                if let PropagationResult::Conflict(_) = propagator.propagate_from(&mut trial, *x) {
-                    // Selecting this alternative is impossible; leave the
-                    // requirement empty (the search will discover the
-                    // conflict itself).
-                    requirements[x.index()] = Some(bitset_new(model.num_vars()));
-                    continue;
-                }
-                let mut bits = bitset_new(model.num_vars());
-                for v in trial.ones() {
-                    bitset_set(&mut bits, v);
-                }
-                requirements[x.index()] = Some(bits);
+            }
+            domains.undo(mark);
+        }
+        let mut cost_mask = vec![0u64; model.num_vars().div_ceil(64)];
+        let mut negative_vars = Vec::new();
+        for v in model.vars() {
+            let c = model.objective_coeff(v);
+            if c != 0.0 {
+                cost_mask[v.index() / 64] |= 1 << (v.index() % 64);
+            }
+            if c < 0.0 {
+                negative_vars.push((v, c));
             }
         }
-        requirements
+        SearchState {
+            model,
+            propagator,
+            domains,
+            scans: vec![GroupScan::default(); groups.len()],
+            groups,
+            cost_mask,
+            negative_vars,
+            requirements,
+            counted_by: vec![u32::MAX; model.num_vars()],
+            config,
+            started,
+            nodes: 0,
+            limit_hit: false,
+            incumbent,
+        }
     }
 
-    fn lower_bound(&self, domains: &Domains) -> f64 {
-        let mut bound = fixed_objective(self.model, domains);
+    fn lower_bound(&mut self) -> f64 {
+        let domains = &self.domains;
+        // Objective mass of the variables fixed to 1, in index order.
+        let mut bound = 0.0;
+        for (w, (&ones, &mask)) in domains.ones_bits().iter().zip(&self.cost_mask).enumerate() {
+            let mut bits = ones & mask;
+            while bits != 0 {
+                let v = VarId((w * 64 + bits.trailing_zeros() as usize) as u32);
+                bits &= bits - 1;
+                bound += self.model.objective_coeff(v);
+            }
+        }
         // Negative coefficients of free variables can only decrease the
         // objective further; account for them to keep the bound admissible
         // for general models.
-        for v in self.model.vars() {
+        for &(v, c) in &self.negative_vars {
             if domains.is_free(v) {
-                let c = self.model.objective_coeff(v);
-                if c < 0.0 {
-                    bound += c;
-                }
+                bound += c;
             }
         }
         // Sequential-minimum bound over the unsatisfied choice groups.
         //
         // Whatever alternative a group eventually selects, the still-free
         // positive-cost variables in its requirement set must be paid for.
-        // Processing groups in a fixed order and blocking (via `counted`)
-        // every variable that *any* alternative of an earlier group could
-        // have provided makes the per-group minima additive without double
-        // counting, so the sum stays an admissible lower bound even when
-        // groups share steps.
-        let words = self.model.num_vars().div_ceil(64);
-        let mut counted: VarBitset = vec![0u64; words];
-        for &ci in &self.choices {
-            let c = &self.model.constraints()[ci];
-            if c.expr
-                .terms()
-                .iter()
-                .any(|(v, _)| domains.get(*v) == Some(true))
-            {
+        // Processing groups in a fixed order and blocking every variable
+        // that *any* alternative of an earlier group could have provided
+        // makes the per-group minima additive without double counting, so
+        // the sum stays an admissible lower bound even when groups share
+        // steps. `counted_by[v]` is the first group that could provide `v`.
+        self.counted_by.fill(u32::MAX);
+        for (g, (group, scan)) in self.groups.iter().zip(&self.scans).enumerate() {
+            let g = g as u32;
+            if scan.satisfied {
                 continue;
             }
             let mut group_min: Option<f64> = None;
-            let mut group_union: VarBitset = vec![0u64; words];
-            let mut has_free_alt = false;
-            for (x, _) in c.expr.terms() {
-                if !domains.is_free(*x) {
+            for &x in group {
+                if !domains.is_free(x) {
                     continue;
                 }
-                let Some(req) = &self.requirements[x.index()] else {
-                    group_min = None;
-                    has_free_alt = false;
-                    break;
-                };
-                has_free_alt = true;
                 let mut alt_cost = 0.0;
-                for (word_idx, word) in req.iter().enumerate() {
-                    let mut w = *word & !counted[word_idx];
-                    group_union[word_idx] |= *word;
-                    while w != 0 {
-                        let bit = w.trailing_zeros() as usize;
-                        w &= w - 1;
-                        let v = VarId((word_idx * 64 + bit) as u32);
-                        if v.index() < self.model.num_vars() && domains.is_free(v) {
-                            let coeff = self.model.objective_coeff(v);
-                            if coeff > 0.0 {
-                                alt_cost += coeff;
-                            }
-                        }
-                    }
+                for &(v, c) in &self.requirements[x.index()] {
+                    let first = &mut self.counted_by[v.index()];
+                    let pay = *first >= g && domains.is_free(v);
+                    *first = (*first).min(g);
+                    alt_cost += if pay { c } else { 0.0 };
                 }
                 group_min = Some(group_min.map_or(alt_cost, |m: f64| m.min(alt_cost)));
             }
-            if has_free_alt {
-                if let Some(m) = group_min {
-                    bound += m;
-                    for (cw, gw) in counted.iter_mut().zip(&group_union) {
-                        *cw |= gw;
-                    }
-                }
+            if let Some(m) = group_min {
+                bound += m;
             }
         }
         bound
@@ -244,39 +262,48 @@ impl<'a> SearchState<'a> {
         false
     }
 
-    /// Chooses the next variable to branch on: a free member of the most
-    /// constrained unsatisfied choice constraint, falling back to the first
-    /// free variable.
-    fn branching_variable(&self, domains: &Domains) -> Option<VarId> {
-        let mut best: Option<(VarId, usize)> = None;
-        for &ci in &self.choices {
-            let c = &self.model.constraints()[ci];
-            if c.expr
-                .terms()
-                .iter()
-                .any(|(v, _)| domains.get(*v) == Some(true))
-            {
-                continue;
-            }
-            let free: Vec<VarId> = c
-                .expr
-                .terms()
-                .iter()
-                .map(|(v, _)| *v)
-                .filter(|v| domains.is_free(*v))
-                .collect();
-            if free.is_empty() {
-                continue;
-            }
-            if best.map(|(_, n)| free.len() < n).unwrap_or(true) {
-                best = Some((free[0], free.len()));
+    /// Refreshes `scans` from the current domains.
+    fn scan_groups(&mut self) {
+        for (group, scan) in self.groups.iter().zip(&mut self.scans) {
+            *scan = GroupScan::default();
+            for &v in group {
+                match self.domains.get(v) {
+                    Some(true) => {
+                        scan.satisfied = true;
+                        break;
+                    }
+                    Some(false) => {}
+                    None => {
+                        scan.first_free.get_or_insert(v);
+                        scan.free += 1;
+                    }
+                }
             }
         }
-        best.map(|(v, _)| v).or_else(|| domains.first_free())
     }
 
-    fn maybe_accept(&mut self, domains: &Domains) {
-        let assignment = domains.to_assignment();
+    /// Chooses the next variable to branch on: the first free member of
+    /// the unsatisfied choice group with the fewest free members, falling
+    /// back to the first free variable.
+    fn branching_variable(&self) -> Option<VarId> {
+        let mut best: Option<(VarId, usize)> = None;
+        for scan in self.scans.iter().filter(|s| !s.satisfied) {
+            if let Some(v) = scan.first_free {
+                if best.map(|(_, n)| scan.free < n).unwrap_or(true) {
+                    best = Some((v, scan.free));
+                }
+            }
+        }
+        best.map(|(v, _)| v).or_else(|| self.domains.first_free())
+    }
+
+    fn maybe_accept(&mut self) {
+        // Free variables map to 0, so an unsatisfied choice group violates
+        // its `Σ x = 1`: the assignment cannot be feasible.
+        if self.scans.iter().any(|s| !s.satisfied) {
+            return;
+        }
+        let assignment = self.domains.to_assignment();
         if !self.model.is_feasible(&assignment, self.config.tolerance) {
             return;
         }
@@ -291,35 +318,37 @@ impl<'a> SearchState<'a> {
         }
     }
 
-    fn search(&mut self, domains: Domains) {
+    fn search(&mut self) {
         self.nodes += 1;
         if self.out_of_budget() {
             return;
         }
+        self.scan_groups();
         // Bound.
-        if let Some((_, best)) = &self.incumbent {
-            if self.lower_bound(&domains) >= *best - self.config.tolerance {
+        if let Some(best) = self.incumbent.as_ref().map(|(_, best)| *best) {
+            if self.lower_bound() >= best - self.config.tolerance {
                 return;
             }
         }
         // Even with free variables left, mapping them to 0 may already be a
         // feasible (and, given the bound above, improving) solution.
-        self.maybe_accept(&domains);
-        if domains.is_complete() {
+        self.maybe_accept();
+        if self.domains.is_complete() {
             return;
         }
-        let Some(var) = self.branching_variable(&domains) else {
+        let Some(var) = self.branching_variable() else {
             return;
         };
         for value in [true, false] {
-            let mut child = domains.clone();
-            if !child.fix(var, value) {
-                continue;
+            let mark = self.domains.mark();
+            if self.domains.fix(var, value) {
+                if let PropagationResult::Fixpoint(_) =
+                    self.propagator.propagate_from(&mut self.domains, var)
+                {
+                    self.search();
+                }
             }
-            match self.propagator.propagate_from(&mut child, var) {
-                PropagationResult::Conflict(_) => continue,
-                PropagationResult::Fixpoint(_) => self.search(child),
-            }
+            self.domains.undo(mark);
             if self.limit_hit {
                 return;
             }
@@ -330,7 +359,7 @@ impl<'a> SearchState<'a> {
 /// Solves a 0/1 ILP.
 pub fn solve(model: &Model, config: SolverConfig) -> Solution {
     let started = Instant::now();
-    let propagator = Propagator::new(model);
+    let mut propagator = Propagator::new(model);
     let mut root = Domains::free(model.num_vars());
     if let PropagationResult::Conflict(_) = propagator.propagate_all(&mut root) {
         return Solution {
@@ -348,21 +377,8 @@ pub fn solve(model: &Model, config: SolverConfig) -> Solution {
         greedy(model)
     };
 
-    let choices = choice_constraints(model);
-    let requirements =
-        SearchState::precompute_requirements(model, &Propagator::new(model), &root, &choices);
-    let mut state = SearchState {
-        model,
-        propagator,
-        choices,
-        requirements,
-        config,
-        started,
-        nodes: 0,
-        limit_hit: false,
-        incumbent,
-    };
-    state.search(root);
+    let mut state = SearchState::new(model, propagator, root, config, started, incumbent);
+    state.search();
 
     let elapsed = started.elapsed();
     match state.incumbent {

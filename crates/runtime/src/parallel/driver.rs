@@ -158,14 +158,14 @@ mod tests {
             stats.set_rate(m, 100.0);
         }
         let q1 = parse_query(&catalog, QueryId::new(0), "q1", "R(a), S(a,b), T(b)").unwrap();
-        let (controller, plan) =
+        let (controller, report) =
             AdaptiveController::new(catalog.clone(), vec![q1], stats, AdaptiveConfig::default())
                 .unwrap();
         let config = EngineConfig {
             epoch_tick: StdDuration::from_millis(1),
             ..EngineConfig::default()
         };
-        let mut engine = ParallelEngine::new(catalog.clone(), plan, config, 2);
+        let mut engine = ParallelEngine::new(catalog.clone(), report.plan, config, 2);
         let controller = Arc::new(Mutex::new(controller));
         engine.start_epoch_driver(controller.clone());
         let mut handle = engine.open_source();
