@@ -100,18 +100,13 @@ impl Domains {
         )
     }
 
-    /// Ids of variables currently fixed to 1, in index order.
+    /// Ids of variables currently fixed to 1.
     pub fn ones(&self) -> impl Iterator<Item = VarId> + '_ {
-        self.ones.iter().enumerate().flat_map(|(w, &word)| {
-            let mut bits = word;
-            std::iter::from_fn(move || {
-                (bits != 0).then(|| {
-                    let bit = bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    VarId((w * 64 + bit) as u32)
-                })
-            })
-        })
+        self.values
+            .iter()
+            .enumerate()
+            .filter(|(_, v)| **v == Some(true))
+            .map(|(i, _)| VarId(i as u32))
     }
 
     /// The variables fixed to 1 as a bitset: bit `i % 64` of word `i / 64`
