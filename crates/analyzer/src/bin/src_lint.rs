@@ -8,9 +8,9 @@
 //!    every (re-)optimization; `std::collections::HashMap`/`HashSet`
 //!    default to SipHash, which an earlier perf PR deliberately replaced
 //!    with `FxHashMap`/`FxHashSet`. New code must not regress this.
-//! 2. **No panics on hot paths** — `store.rs`, `tuple.rs`, `shard.rs` and
-//!    `segment.rs` process every stored/probed tuple; an `unwrap()` or
-//!    `panic!` there takes a worker thread down mid-stream. `solver.rs`
+//! 2. **No panics on hot paths** — `store.rs`, `tuple.rs`, `shard.rs`,
+//!    `rules.rs` and `segment.rs` process every stored/probed tuple; an
+//!    `unwrap()` or `panic!` there takes a worker thread down mid-stream. `solver.rs`
 //!    and `propagation.rs` run per branch-and-bound node, inside deploys
 //!    and epoch re-plans.
 //! 3. **No wall clock off the stream clock** — event time comes from tuple
@@ -37,6 +37,7 @@ const HOT_PATH_FILES: &[&str] = &[
     "store.rs",
     "tuple.rs",
     "shard.rs",
+    "rules.rs",
     "segment.rs",
     "solver.rs",
     "propagation.rs",

@@ -1,9 +1,8 @@
 //! # clash-bench
 //!
 //! Experiment drivers that regenerate every figure of the paper's
-//! evaluation (Section VII). Each driver returns plain data rows; the
-//! binaries in `src/bin/` print them as tables (and JSON), and the
-//! criterion benches in `benches/` time the underlying operations.
+//! evaluation (Section VII). Each driver returns plain data rows, and the
+//! binaries in `src/bin/` print them.
 //!
 //! | Paper figure | Driver |
 //! |---|---|
@@ -27,8 +26,8 @@ pub mod hotpath;
 #[global_allocator]
 static GLOBAL_ALLOCATOR: allocs::CountingAllocator = allocs::CountingAllocator;
 
-/// Prints a slice of serializable rows as aligned text plus one JSON line
-/// per row (machine-readable output consumed by EXPERIMENTS.md tooling).
+/// Prints a slice of rows under a title, one line per row: JSON when the
+/// row serializes, its `Debug` form otherwise.
 pub fn print_rows<T: serde::Serialize + std::fmt::Debug>(title: &str, rows: &[T]) {
     println!("== {title} ==");
     for row in rows {

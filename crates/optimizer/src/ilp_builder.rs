@@ -24,7 +24,7 @@
 use crate::candidate::{CandidateSet, DecoratedProbeOrder, StepKey, SubqueryKey};
 use clash_common::{ClashError, QueryId, RelationId, Result};
 use clash_ilp::{Assignment, LinExpr, Model, ModelStats, Sense, VarId};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// The constructed model together with the bookkeeping needed to interpret
 /// its solution.
@@ -61,16 +61,20 @@ impl Selection {
         self.query_orders.iter().chain(self.subquery_orders.iter())
     }
 
-    /// Recomputes the shared cost from the step keys (each distinct step
-    /// counted once).
+    /// Recomputes the shared cost from the step keys: each distinct step
+    /// counted once, summed in first-seen order over [`Self::all_orders`]
+    /// so the result is the same bit for bit on every run.
     pub fn recompute_shared_cost(&mut self) {
-        let mut seen: HashMap<&StepKey, f64> = HashMap::new();
-        for order in self.query_orders.iter().chain(self.subquery_orders.iter()) {
+        let mut seen: HashSet<&StepKey> = HashSet::new();
+        let mut total = 0.0;
+        for order in self.all_orders() {
             for (key, cost) in order.step_keys.iter().zip(&order.step_costs) {
-                seen.entry(key).or_insert(*cost);
+                if seen.insert(key) {
+                    total += *cost;
+                }
             }
         }
-        self.shared_cost = seen.values().sum();
+        self.shared_cost = total;
     }
 }
 
@@ -374,6 +378,56 @@ mod tests {
             .map(|c| c.step_keys.len())
             .sum();
         assert!(artifacts.step_vars.len() < total_steps);
+    }
+
+    #[test]
+    fn shared_cost_is_the_first_seen_fold_bit_for_bit() {
+        // Each distinct step once, with its first cost, in the order
+        // `all_orders` meets it.
+        fn first_seen_fold(selection: &Selection) -> f64 {
+            let mut seen: Vec<&StepKey> = Vec::new();
+            let mut total = 0.0;
+            for order in selection.all_orders() {
+                for (key, cost) in order.step_keys.iter().zip(&order.step_costs) {
+                    if !seen.contains(&key) {
+                        seen.push(key);
+                        total += cost;
+                    }
+                }
+            }
+            total
+        }
+        let (catalog, stats, queries) = setup();
+        let cands = enumerate_candidates(&catalog, &stats, &queries, &PlanSpaceConfig::default());
+        let artifacts = build_ilp(&cands);
+        let solution = solve(&artifacts.model, SolverConfig::default());
+        let mut selection =
+            extract_selection(&cands, &artifacts, solution.assignment.as_ref().unwrap()).unwrap();
+        assert!(!selection.subquery_orders.is_empty());
+        assert_eq!(
+            selection.shared_cost.to_bits(),
+            first_seen_fold(&selection).to_bits()
+        );
+
+        // Costs whose sum depends on the summation order: first-seen order
+        // gives (1e16 + 1) - 1e16 = 0, while 1e16 - 1e16 + 1 would give 1.
+        // The repeated step keeps its first cost.
+        let template = selection.query_orders[0].clone();
+        let order = |keys: &[&str], costs: &[f64]| DecoratedProbeOrder {
+            step_keys: keys.iter().map(|k| StepKey(k.to_string())).collect(),
+            step_costs: costs.to_vec(),
+            ..template.clone()
+        };
+        selection.query_orders = vec![order(&["a", "b"], &[1e16, 1.0])];
+        selection.subquery_orders = vec![order(&["c", "a"], &[-1e16, 7.0])];
+        for _ in 0..8 {
+            selection.recompute_shared_cost();
+            assert_eq!(selection.shared_cost.to_bits(), 0.0f64.to_bits());
+            assert_eq!(
+                selection.shared_cost.to_bits(),
+                first_seen_fold(&selection).to_bits()
+            );
+        }
     }
 
     #[test]

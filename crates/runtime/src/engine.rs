@@ -1,4 +1,4 @@
-//! The execution engine: rule-driven processing of a topology plan.
+//! The sequential engine: rule-driven processing of a topology plan.
 //!
 //! The engine is a deterministic, single-process substitute for the Apache
 //! Storm cluster of the paper (see DESIGN.md): stores, partitions, rule
@@ -9,17 +9,22 @@
 //! Probe cost (tuple copies sent), store memory and per-result latency —
 //! the quantities the paper's evaluation reports — are tracked exactly as
 //! a distributed deployment would observe them.
+//!
+//! `LocalEngine` is the single-shard instance of the rule interpreter in
+//! `rules.rs`: it routes and accounts each delivery with `rules::resolve`
+//! and lets the interpreter apply the rules unguarded, with its LIFO work
+//! queue as the outbox. Each ingested tuple is processed to completion
+//! before the next, so a probe sees exactly the tuples stored before it.
 
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
+use crate::rules::{resolve, Interpreter, Outbox, Recorders, Step, StoreLayout};
 use crate::stats_collector::StatsCollector;
-use crate::store::{partition_hash, StoreInstance};
 use clash_catalog::Catalog;
 use clash_common::{
-    arena_stats, chrome_trace_json, trace_clock_us, ClashError, Epoch, EpochConfig, Exposition,
-    FxHashMap, QueryId, Result, StoreId, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple,
-    Window,
+    arena_stats, chrome_trace_json, trace_clock_us, ClashError, EpochConfig, Exposition, QueryId,
+    Result, Timestamp, TraceEvent, TraceEventKind, TraceRing, Tuple,
 };
-use clash_optimizer::{OutputAction, Rule, SendTarget, TopologyPlan};
+use clash_optimizer::{SendTarget, TopologyPlan};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -116,46 +121,6 @@ pub trait EngineControl {
     fn stats_collector_mut(&mut self) -> &mut StatsCollector;
 }
 
-/// Window of a store: the widest window of its member relations (so no
-/// potential join partner expires too early).
-pub(crate) fn store_window(catalog: &Catalog, relations: clash_common::RelationSet) -> Window {
-    relations
-        .iter()
-        .filter_map(|r| catalog.relation(r).ok().map(|m| m.window))
-        .max_by_key(|w| w.length)
-        .unwrap_or_default()
-}
-
-/// Indexed attributes of a store: every stored-side attribute of every
-/// probe-rule predicate registered at it.
-pub(crate) fn indexed_attrs(plan: &TopologyPlan, store: StoreId) -> Vec<clash_common::AttrRef> {
-    let mut out = Vec::new();
-    let descriptor = match plan.store(store) {
-        Some(s) => s.descriptor,
-        None => return out,
-    };
-    for ((sid, _), rules) in &plan.rules {
-        if *sid != store {
-            continue;
-        }
-        for rule in rules {
-            if let Rule::Probe { predicates, .. } = rule {
-                for p in predicates {
-                    let stored_side = if descriptor.relations.contains(p.left.relation) {
-                        p.left
-                    } else {
-                        p.right
-                    };
-                    if !out.contains(&stored_side) {
-                        out.push(stored_side);
-                    }
-                }
-            }
-        }
-    }
-    out
-}
-
 /// Deterministic local execution engine for a [`TopologyPlan`].
 pub struct LocalEngine {
     catalog: Catalog,
@@ -163,7 +128,7 @@ pub struct LocalEngine {
     /// The installed plan, shared so rule sets can be borrowed on the
     /// delivery hot path without cloning them per delivered tuple.
     plan: Arc<TopologyPlan>,
-    stores: FxHashMap<StoreId, StoreInstance>,
+    rules: Interpreter,
     metrics: EngineMetrics,
     stats: StatsCollector,
     results: Vec<(QueryId, Tuple)>,
@@ -177,7 +142,7 @@ pub struct LocalEngine {
 impl std::fmt::Debug for LocalEngine {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("LocalEngine")
-            .field("stores", &self.stores.len())
+            .field("stores", &self.rules.stores().len())
             .field("queries", &self.plan.queries.len())
             .field("ingested", &self.metrics.tuples_ingested)
             .finish()
@@ -192,7 +157,7 @@ impl LocalEngine {
             catalog,
             config,
             plan: Arc::new(TopologyPlan::default()),
-            stores: FxHashMap::default(),
+            rules: Interpreter::new(config.epoch, config.freeze_after_epochs, 1),
             metrics: EngineMetrics::default(),
             stats,
             results: Vec::new(),
@@ -225,29 +190,8 @@ impl LocalEngine {
             self.metrics.plan_rejections += 1;
             return Err(e);
         }
-        let mut new_stores: FxHashMap<StoreId, StoreInstance> = FxHashMap::default();
-        // Index existing stores by descriptor key for state carry-over.
-        let mut existing: FxHashMap<String, StoreInstance> = self
-            .stores
-            .drain()
-            .map(|(_, s)| (s.descriptor.key(), s))
-            .collect();
-        for def in &plan.stores {
-            let window = store_window(&self.catalog, def.descriptor.relations);
-            let indexed = indexed_attrs(&plan, def.id);
-            let instance = match existing.remove(&def.descriptor.key()) {
-                Some(mut s) => {
-                    for attr in indexed {
-                        s.add_indexed_attr(attr);
-                    }
-                    s.window = window;
-                    s
-                }
-                None => StoreInstance::new(def.descriptor, window, indexed),
-            };
-            new_stores.insert(def.id, instance);
-        }
-        self.stores = new_stores;
+        self.rules
+            .install(&plan, &StoreLayout::derive(&self.catalog, &plan));
         self.plan = Arc::new(plan);
         self.trace.record(
             TraceEventKind::PlanInstall,
@@ -305,18 +249,42 @@ impl LocalEngine {
         let epoch = self.config.epoch.epoch_of(tuple.ts);
         self.stats.record_arrival(epoch, relation);
 
-        let mut emitted = 0u64;
-        // Work queue of (target, tuple) deliveries.
-        let mut queue: Vec<(SendTarget, Tuple)> = self
-            .plan
-            .ingest_for(relation)
-            .iter()
-            .map(|t| (*t, tuple.clone()))
-            .collect();
-
-        while let Some((target, tuple)) = queue.pop() {
-            emitted += self.deliver(target, tuple, started, &mut queue);
+        // Work queue of (target, tuple) deliveries, processed LIFO.
+        let mut out = LocalOutbox {
+            queue: self
+                .plan
+                .ingest_for(relation)
+                .iter()
+                .map(|t| (*t, tuple.clone()))
+                .collect(),
+            emitted: 0,
+            results: self.config.collect_results.then_some(&mut self.results),
+            sink: &mut self.sink,
+        };
+        while let Some((target, tuple)) = out.queue.pop() {
+            let Some(rules) = self.plan.rules.get(&(target.store, target.edge)) else {
+                continue;
+            };
+            let Some(route) = resolve(&self.plan, &target, &tuple, &mut self.metrics) else {
+                continue;
+            };
+            let step = Step {
+                target,
+                tuple: &tuple,
+                probe_partitions: &route.probe_partitions,
+                store_partition: Some(route.store_partition),
+                broadcast: route.broadcast,
+                guard: None,
+                started,
+            };
+            let mut rec = Recorders {
+                metrics: &mut self.metrics,
+                stats: &mut self.stats,
+                trace: &mut self.trace,
+            };
+            self.rules.apply(rules, &step, &mut rec, &mut out);
         }
+        let emitted = out.emitted;
 
         self.metrics.busy += started.elapsed();
         self.trace.record_span(
@@ -333,178 +301,38 @@ impl LocalEngine {
         Ok(emitted)
     }
 
-    /// Delivers one tuple to one store along one edge, applying the rules
-    /// registered for that edge (Algorithm 3/4). Newly produced partial
-    /// results are pushed onto `queue`.
-    fn deliver(
-        &mut self,
-        target: SendTarget,
-        tuple: Tuple,
-        ingest_started: Instant,
-        queue: &mut Vec<(SendTarget, Tuple)>,
-    ) -> u64 {
-        // Borrow the rule set through a local Arc handle: no per-delivery
-        // clone of the rules (predicates, outputs) on the hot path.
-        let plan = Arc::clone(&self.plan);
-        let Some(rules) = plan.rules.get(&(target.store, target.edge)) else {
-            return 0;
-        };
-        let Some(store) = self.stores.get(&target.store) else {
-            return 0;
-        };
-        let parallelism = store.parallelism();
-        // Resolve the receiving partitions: route by the hash of the
-        // routing-key attribute when the sending tuple carries it,
-        // otherwise broadcast to every partition (the χ factor of Eq. 1).
-        let partitions: Vec<usize> = match target.routing_key.and_then(|a| tuple.get(&a).cloned()) {
-            Some(value) => vec![partition_hash(&value, parallelism)],
-            None => {
-                if parallelism > 1 {
-                    self.metrics.broadcasts += 1;
-                }
-                (0..parallelism).collect()
-            }
-        };
-        self.metrics.tuples_sent += partitions.len() as u64;
-
-        let epoch = self.config.epoch.epoch_of(tuple.ts);
-        let mut emitted = 0u64;
-        for rule in rules {
-            match rule {
-                Rule::Store => {
-                    let store = self.stores.get_mut(&target.store).expect("store exists");
-                    // Storing happens in exactly one partition: the one the
-                    // partition attribute hashes to (or partition 0).
-                    let p = if partitions.len() == 1 {
-                        partitions[0]
-                    } else {
-                        store.partition_for(&tuple)
-                    };
-                    store.insert(p, epoch, tuple.clone());
-                    self.trace
-                        .record(TraceEventKind::Insert, u64::from(target.store.0), 0);
-                }
-                Rule::Probe {
-                    predicates,
-                    outputs,
-                } => {
-                    let store = self.stores.get(&target.store).expect("store exists");
-                    let window = store.window;
-                    // Epochs that may contain partners: everything from the
-                    // window horizon up to the probing tuple's own epoch.
-                    let lo = self.config.epoch.epoch_of(window.horizon(tuple.ts));
-                    let hi = epoch;
-                    let epochs: Vec<Epoch> = (lo.0..=hi.0).map(Epoch).collect();
-                    let store_size = store.len() as u64;
-                    let mut matches = Vec::new();
-                    for &p in &partitions {
-                        matches.extend(store.probe(p, &epochs, &tuple, predicates));
-                    }
-                    self.metrics.probes += 1;
-                    self.trace.record(
-                        TraceEventKind::Probe,
-                        u64::from(target.store.0),
-                        matches.len() as u64,
-                    );
-                    self.stats
-                        .record_probe(epoch, predicates, matches.len() as u64, store_size);
-                    for matched in matches {
-                        let Some(joined) = tuple.join(&matched) else {
-                            continue;
-                        };
-                        for action in outputs {
-                            match action {
-                                OutputAction::Emit { query } => {
-                                    emitted += 1;
-                                    *self.metrics.results.entry(*query).or_default() += 1;
-                                    self.metrics
-                                        .record_latency(*query, ingest_started.elapsed());
-                                    if self.config.collect_results {
-                                        self.results.push((*query, joined.clone()));
-                                    }
-                                    if let Some(sink) = &mut self.sink {
-                                        sink(*query, &joined);
-                                    }
-                                }
-                                OutputAction::Forward(next) => {
-                                    queue.push((*next, joined.clone()));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        emitted
-    }
-
     /// Expires out-of-window tuples from every store. Before expiring,
     /// epochs that have fallen [`EngineConfig::freeze_after_epochs`]
     /// behind the stream clock are compacted into frozen columnar
     /// segments (so cold state is probed in its read-optimized form and
     /// expires by segment drop, not per-tuple work).
     pub fn expire_stores(&mut self) -> usize {
-        if self.config.freeze_after_epochs > 0 {
-            let clock = self.config.epoch.epoch_of(self.max_ts);
-            let freeze_horizon = Epoch(clock.0.saturating_sub(self.config.freeze_after_epochs));
-            for (id, store) in self.stores.iter_mut() {
-                let built = store.freeze_before(freeze_horizon);
-                if built > 0 {
-                    self.trace
-                        .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
-                }
-            }
-        }
-        let mut removed = 0;
-        for store in self.stores.values_mut() {
-            let horizon = store.window.horizon(self.max_ts);
-            removed += store.expire(horizon);
-        }
-        self.trace.record(TraceEventKind::Expire, removed as u64, 0);
-        removed
+        self.rules.expire(self.max_ts, &mut self.trace)
     }
 
     /// Total bytes held across all stores (Fig. 7c).
     pub fn store_bytes(&self) -> usize {
-        self.stores.values().map(|s| s.bytes()).sum()
+        self.rules.stores().values().map(|s| s.bytes()).sum()
     }
 
     /// Total tuples held across all stores.
     pub fn store_tuples(&self) -> usize {
-        self.stores.values().map(|s| s.len()).sum()
+        self.rules.stores().values().map(|s| s.len()).sum()
     }
 
     /// Frozen segments built across all stores since startup.
     pub fn store_compactions(&self) -> u64 {
-        self.stores.values().map(|s| s.compactions()).sum()
+        self.rules.stores().values().map(|s| s.compactions()).sum()
     }
 
     /// Metrics snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let busy = self.metrics.busy.as_secs_f64();
-        MetricsSnapshot {
-            tuples_ingested: self.metrics.tuples_ingested,
-            tuples_sent: self.metrics.tuples_sent,
-            broadcasts: self.metrics.broadcasts,
-            probes: self.metrics.probes,
-            results: self
-                .metrics
-                .results
-                .iter()
-                .map(|(q, n)| (q.0, *n))
-                .collect(),
-            latency: self.metrics.latency(),
-            latency_per_query: self.metrics.latency_per_query_stats(),
-            store_bytes: self.store_bytes(),
-            store_tuples: self.store_tuples(),
-            num_stores: self.stores.len(),
-            busy_secs: busy,
-            throughput_tps: if busy > 0.0 {
-                self.metrics.tuples_ingested as f64 / busy
-            } else {
-                0.0
-            },
-        }
+        self.metrics.snapshot(
+            self.store_bytes(),
+            self.store_tuples(),
+            self.rules.stores().len(),
+            self.metrics.busy,
+        )
     }
 
     /// Resets metrics (between experiment phases) without touching store
@@ -533,32 +361,46 @@ impl LocalEngine {
     pub fn telemetry_snapshot(&self) -> String {
         let mut page = Exposition::new();
         crate::exposition::engine_sections(&mut page, &self.metrics);
-        let mut details: Vec<crate::parallel::shard::StoreDetail> = self
-            .stores
-            .iter()
-            .map(|(id, store)| {
-                let (posting_lists, spilled_postings) = store.posting_stats();
-                let (segments, segment_bytes) = store.segment_stats();
-                crate::parallel::shard::StoreDetail {
-                    store: *id,
-                    tuples: store.len(),
-                    bytes: store.bytes(),
-                    posting_lists,
-                    spilled_postings,
-                    segments,
-                    segment_bytes,
-                    compactions: store.compactions(),
-                }
-            })
-            .collect();
-        details.sort_by_key(|d| d.store.0);
-        crate::exposition::store_sections(&mut page, &details);
+        crate::exposition::store_sections(&mut page, &self.rules.store_detail());
         let arena = arena_stats();
         crate::exposition::arena_sections(
             &mut page,
             std::iter::once(("engine".to_string(), &arena)),
         );
         page.finish()
+    }
+}
+
+/// `LocalEngine`'s outbox: forwards go onto the LIFO work queue of the
+/// current ingest; emitted results are counted for the ingest's return
+/// value, collected when `collect_results` is on, and passed to the sink.
+struct LocalOutbox<'a> {
+    queue: Vec<(SendTarget, Tuple)>,
+    emitted: u64,
+    results: Option<&'a mut Vec<(QueryId, Tuple)>>,
+    sink: &'a mut Option<ResultSink>,
+}
+
+impl Outbox for LocalOutbox<'_> {
+    fn emit(&mut self, query: QueryId, joined: &Tuple) {
+        self.emitted += 1;
+        if let Some(results) = &mut self.results {
+            results.push((query, joined.clone()));
+        }
+        if let Some(sink) = self.sink {
+            sink(query, joined);
+        }
+    }
+
+    fn forward(
+        &mut self,
+        target: SendTarget,
+        joined: Tuple,
+        _guard: Option<u64>,
+        _started: Instant,
+        _metrics: &mut EngineMetrics,
+    ) {
+        self.queue.push((target, joined));
     }
 }
 

@@ -8,7 +8,7 @@
 //! installs) are appended by the respective engine.
 
 use crate::metrics::EngineMetrics;
-use crate::parallel::shard::StoreDetail;
+use crate::rules::StoreDetail;
 use clash_common::{ArenaStats, Exposition};
 
 /// Engine counters, per-query result counts and per-query latency

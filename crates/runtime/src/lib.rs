@@ -41,6 +41,7 @@ mod exposition;
 pub mod ingest;
 pub mod metrics;
 pub mod parallel;
+mod rules;
 pub mod stats_collector;
 pub mod store;
 

@@ -75,6 +75,36 @@ impl EngineMetrics {
         self.latency.entry(query).or_default().record(latency);
     }
 
+    /// A snapshot of these counters next to the engine's store totals,
+    /// with throughput measured against `busy`.
+    pub(crate) fn snapshot(
+        &self,
+        store_bytes: usize,
+        store_tuples: usize,
+        num_stores: usize,
+        busy: Duration,
+    ) -> MetricsSnapshot {
+        let busy = busy.as_secs_f64();
+        MetricsSnapshot {
+            tuples_ingested: self.tuples_ingested,
+            tuples_sent: self.tuples_sent,
+            broadcasts: self.broadcasts,
+            probes: self.probes,
+            results: self.results.iter().map(|(q, n)| (q.0, *n)).collect(),
+            latency: self.latency(),
+            latency_per_query: self.latency_per_query_stats(),
+            store_bytes,
+            store_tuples,
+            num_stores,
+            busy_secs: busy,
+            throughput_tps: if busy > 0.0 {
+                self.tuples_ingested as f64 / busy
+            } else {
+                0.0
+            },
+        }
+    }
+
     /// Latency statistics over all emitted results (all queries merged).
     pub fn latency(&self) -> LatencyStats {
         LatencyStats::from_histogram(&self.combined_latency())

@@ -22,8 +22,8 @@ use crate::ingest::{SourceHandle, SourceSlot};
 use crate::metrics::{EngineMetrics, MetricsSnapshot};
 use crate::parallel::driver::EpochDriver;
 use crate::parallel::router::{route_root, symmetric_stores, symmetric_stores_multi, RootHandle};
-use crate::parallel::shard::{StoreDetail, StoreLayout};
 use crate::parallel::worker::{run_worker, WorkerAck, WorkerCtx, WorkerMsg};
+use crate::rules::{StoreDetail, StoreLayout};
 use crate::stats_collector::StatsCollector;
 use clash_catalog::{Catalog, Statistics};
 use clash_common::{
@@ -1024,30 +1024,12 @@ impl EngineCore {
 
     fn snapshot(&mut self) -> MetricsSnapshot {
         self.flush();
-        let busy = self.wall_busy.as_secs_f64();
-        MetricsSnapshot {
-            tuples_ingested: self.metrics.tuples_ingested,
-            tuples_sent: self.metrics.tuples_sent,
-            broadcasts: self.metrics.broadcasts,
-            probes: self.metrics.probes,
-            results: self
-                .metrics
-                .results
-                .iter()
-                .map(|(q, n)| (q.0, *n))
-                .collect(),
-            latency: self.metrics.latency(),
-            latency_per_query: self.metrics.latency_per_query_stats(),
-            store_bytes: self.store_bytes(),
-            store_tuples: self.store_tuples(),
-            num_stores: self.plan.num_stores(),
-            busy_secs: busy,
-            throughput_tps: if busy > 0.0 {
-                self.metrics.tuples_ingested as f64 / busy
-            } else {
-                0.0
-            },
-        }
+        self.metrics.snapshot(
+            self.store_bytes(),
+            self.store_tuples(),
+            self.plan.num_stores(),
+            self.wall_busy,
+        )
     }
 
     fn reset_metrics(&mut self) {

@@ -13,14 +13,15 @@
 //!   `parallelism` field), and aggregates per-worker metrics and
 //!   statistics at epoch barriers so the adaptive controller keeps
 //!   working unchanged.
-//! * [`router`] — partition routing (the same `partition_hash` as the
-//!   stores) plus the ordering machinery: per-root completion counters, a
-//!   global completion watermark, and the static analysis of which rule
-//!   keys need deferral.
+//! * [`router`] — partition routing (the interpreter's `resolve`, which
+//!   `LocalEngine` calls too) plus the ordering machinery: per-root
+//!   completion counters, a global completion watermark, and the static
+//!   analysis of which stores need symmetric probing.
 //! * [`worker`] — the thread loop and message protocol (deliveries,
 //!   collection barriers, plan installs, expiry).
-//! * [`shard`] — per-worker store partitions and rule execution
-//!   (Algorithm 3/4 scoped to owned partitions, with epoch-scoped state).
+//! * [`shard`] — one worker's instance of the rule interpreter
+//!   (`rules.rs`, Algorithm 3/4 scoped to owned partitions) plus the
+//!   symmetric pending probers.
 //!
 //! # Why the results are exactly those of `LocalEngine`
 //!

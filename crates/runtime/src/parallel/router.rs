@@ -1,12 +1,12 @@
 //! Partition routing and ordering bookkeeping for the sharded runtime.
 //!
-//! Routing itself reuses the exact decisions of the sequential engine: a
-//! delivery either hashes its routing-key attribute to one partition
-//! ([`partition_hash`]) or broadcasts to every partition of the target
-//! store (the χ factor of Equation 1). Partitions are mapped onto worker
-//! threads round-robin (`partition % workers`), so with `workers` equal to
-//! a store's catalog parallelism every store partition gets its own
-//! dedicated thread.
+//! Routing is [`crate::rules::resolve`], the same function the sequential
+//! engine calls: a delivery either hashes its routing-key attribute to one
+//! partition ([`crate::store::partition_hash`]) or broadcasts to every
+//! partition of the target store (the χ factor of Equation 1). The
+//! resolved partitions are mapped onto worker threads round-robin
+//! (`partition % workers`), so with `workers` equal to a store's catalog
+//! parallelism every store partition gets its own dedicated thread.
 //!
 //! The module also owns the two pieces of machinery that make sharded
 //! execution *bit-identical* to sequential execution:
@@ -30,8 +30,9 @@
 //! The watermark doubles as the garbage-collection horizon for pending
 //! probers and as the drain condition for barriers.
 
+use crate::metrics::EngineMetrics;
 use crate::parallel::worker::{Delivery, WorkerMsg};
-use crate::store::partition_hash;
+use crate::rules::resolve;
 use clash_common::{FxHashSet, StoreId, Tuple};
 use clash_optimizer::{OutputAction, Rule, SendTarget, TopologyPlan};
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -39,74 +40,21 @@ use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-/// How a delivery maps onto the partitions of its target store.
-#[derive(Debug, Clone)]
-pub(crate) struct RouteSpec {
-    /// Partitions a probe rule must inspect (one when hashed, all when
-    /// broadcast).
-    pub probe_partitions: Vec<usize>,
-    /// Partition a store rule inserts into.
-    pub store_partition: usize,
-    /// `true` when the delivery is a broadcast across > 1 partitions.
-    pub broadcast: bool,
-}
-
-impl RouteSpec {
-    /// Number of partition copies this delivery sends (the probe-cost
-    /// `tuples_sent` unit of the sequential engine).
-    pub fn copies(&self) -> u64 {
-        self.probe_partitions.len() as u64
-    }
-}
-
-/// Resolves the partitions of `target` that `tuple` must reach, mirroring
-/// the sequential engine: hash the routing key when the tuple carries it,
-/// otherwise broadcast (and store into the partition-attribute partition).
-pub(crate) fn resolve(
-    plan: &TopologyPlan,
-    target: &SendTarget,
-    tuple: &Tuple,
-) -> Option<RouteSpec> {
-    let def = plan.store(target.store)?;
-    let parallelism = def.descriptor.parallelism.max(1);
-    match target.routing_key.and_then(|a| tuple.get(&a)) {
-        Some(value) => {
-            let p = partition_hash(value, parallelism);
-            Some(RouteSpec {
-                probe_partitions: vec![p],
-                store_partition: p,
-                broadcast: false,
-            })
-        }
-        None => {
-            let store_partition = def
-                .descriptor
-                .partition
-                .and_then(|a| tuple.get(&a))
-                .map(|v| partition_hash(v, parallelism))
-                .unwrap_or(0);
-            Some(RouteSpec {
-                probe_partitions: (0..parallelism).collect(),
-                store_partition,
-                broadcast: parallelism > 1,
-            })
-        }
-    }
-}
-
 /// The worker thread owning a partition: round-robin assignment.
 pub(crate) fn owner_of(partition: usize, workers: usize) -> usize {
     partition % workers
 }
 
 /// Splits the route of `target` into per-worker deliveries, registering
-/// each with the root's completion counter. Returns `None` when the plan
+/// each with the root's completion counter; [`resolve`] accounts the send
+/// exactly like the sequential engine's. Returns nothing when the plan
 /// has no rules for the target (the sequential engine ignores such sends
 /// without accounting them). Probe partitions go to their owners; the
 /// store partition goes to its owner only when the rule set actually
 /// stores. `guard` is the logical sequence position the delivery acts at
 /// (the originating root for normal sends, the original prober's position
 /// for retro-produced results).
+#[allow(clippy::too_many_arguments)]
 pub(crate) fn fan_out(
     plan: &TopologyPlan,
     workers: usize,
@@ -115,44 +63,41 @@ pub(crate) fn fan_out(
     guard: u64,
     root: &Arc<RootHandle>,
     started: Instant,
-) -> Option<(RouteSpec, Vec<(usize, Delivery)>)> {
-    let rules = plan.rules.get(&(target.store, target.edge))?;
+    metrics: &mut EngineMetrics,
+) -> Vec<(usize, Delivery)> {
+    let Some(rules) = plan.rules.get(&(target.store, target.edge)) else {
+        return Vec::new();
+    };
     let has_store = rules.iter().any(|r| matches!(r, Rule::Store));
     let has_probe = rules.iter().any(|r| matches!(r, Rule::Probe { .. }));
     if !has_store && !has_probe {
-        return None;
+        return Vec::new();
     }
-    let spec = resolve(plan, &target, &tuple)?;
+    let Some(spec) = resolve(plan, &target, &tuple, metrics) else {
+        return Vec::new();
+    };
+    let delivery = || Delivery {
+        target,
+        tuple: tuple.clone(),
+        probe_partitions: Vec::new(),
+        store_partition: None,
+        broadcast: spec.broadcast,
+        guard,
+        root: root.clone(),
+        started,
+    };
     let mut per_worker: Vec<Option<Delivery>> = (0..workers).map(|_| None).collect();
     if has_probe {
         for &p in &spec.probe_partitions {
             per_worker[owner_of(p, workers)]
-                .get_or_insert_with(|| Delivery {
-                    target,
-                    tuple: tuple.clone(),
-                    probe_partitions: Vec::new(),
-                    store_partition: None,
-                    broadcast: spec.broadcast,
-                    guard,
-                    root: root.clone(),
-                    started,
-                })
+                .get_or_insert_with(delivery)
                 .probe_partitions
                 .push(p);
         }
     }
     if has_store {
         per_worker[owner_of(spec.store_partition, workers)]
-            .get_or_insert_with(|| Delivery {
-                target,
-                tuple: tuple.clone(),
-                probe_partitions: Vec::new(),
-                store_partition: None,
-                broadcast: spec.broadcast,
-                guard,
-                root: root.clone(),
-                started,
-            })
+            .get_or_insert_with(delivery)
             .store_partition = Some(spec.store_partition);
     }
     let deliveries: Vec<(usize, Delivery)> = per_worker
@@ -163,16 +108,15 @@ pub(crate) fn fan_out(
     for _ in &deliveries {
         root.register();
     }
-    Some((spec, deliveries))
+    deliveries
 }
 
 /// Routes one ingested root to every target store of its relation: the
 /// shared front half of `ParallelEngine::ingest` and
-/// [`crate::ingest::SourceHandle`] pushes. Fans out each target, accounts
-/// `tuples_sent`/`broadcasts` exactly like the sequential engine, buffers
-/// the deliveries and releases the root's creator bias. Keeping both
-/// producers on this single path means a change to routing or accounting
-/// cannot silently diverge between them.
+/// [`crate::ingest::SourceHandle`] pushes. Fans out (and accounts) each
+/// target, buffers the deliveries and releases the root's creator bias.
+/// Keeping both producers on this single path means a change to routing
+/// or accounting cannot silently diverge between them.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn route_root(
     plan: &TopologyPlan,
@@ -182,20 +126,14 @@ pub(crate) fn route_root(
     seq: u64,
     root: &Arc<RootHandle>,
     started: Instant,
-    metrics: &mut crate::metrics::EngineMetrics,
+    metrics: &mut EngineMetrics,
     buf: &mut BatchBuffer,
 ) {
     for target in plan.ingest_for(relation) {
-        let Some((spec, deliveries)) =
-            fan_out(plan, workers, *target, tuple.clone(), seq, root, started)
-        else {
-            continue;
-        };
-        metrics.tuples_sent += spec.copies();
-        if spec.broadcast {
-            metrics.broadcasts += 1;
-        }
-        for (worker, delivery) in deliveries {
+        let tuple = tuple.clone();
+        for (worker, delivery) in
+            fan_out(plan, workers, *target, tuple, seq, root, started, metrics)
+        {
             buf.push(worker, delivery);
         }
     }

@@ -1,10 +1,12 @@
 //! Per-worker shard state: the partitions a worker owns of every store,
 //! plus its private metrics and statistics accumulators.
 //!
-//! A shard executes the same rule sets (Algorithm 3/4) as the sequential
-//! engine, restricted to the partitions assigned to its worker. Two
-//! mechanisms make the union of all shards' results equal to the
-//! sequential engine's result set:
+//! A shard runs the same rule interpreter ([`crate::rules`]) as the
+//! sequential engine, restricted to the partitions assigned to its worker.
+//! What stays here is parallel-specific: the symmetric store set, the
+//! pending probers and the retro-match predicate check. Two mechanisms
+//! make the union of all shards' results equal to the sequential engine's
+//! result set:
 //!
 //! * **Sequence guard** — inserts are tagged with the logical sequence
 //!   position (`guard`) of the root that produced them and probes skip
@@ -23,46 +25,26 @@
 //!   exactly once: at probe time if the insert was applied, retroactively
 //!   otherwise. Probers are garbage-collected once the completion
 //!   watermark proves no earlier root can still insert.
+//!
+//! Within one delivery the retro-probe runs right after the insert (the
+//! interpreter's [`Outbox::stored`] hook) and the prober registers after
+//! the whole rule set ran. Retro-produced matches leave through the
+//! interpreter's emit/forward path ([`emit`]).
 
-use crate::engine::{indexed_attrs, store_window};
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::workers_of_store;
-use crate::parallel::worker::{Delivery, Outbox};
+use crate::parallel::router::fan_out;
+use crate::parallel::worker::{Delivery, ForwardBuffer};
+use crate::rules::{emit, Interpreter, Outbox, Recorders, Step, StoreLayout};
 use crate::stats_collector::StatsCollector;
 use crate::store::StoreInstance;
-use clash_catalog::Catalog;
 use clash_common::{
-    AttrRef, EdgeId, Epoch, EpochConfig, FxHashMap, FxHashSet, QueryId, SlotAccessor, StoreId,
-    Timestamp, TraceEventKind, TraceRing, Tuple, Value, Window,
+    EdgeId, EpochConfig, FxHashMap, FxHashSet, QueryId, SlotAccessor, StoreId, TraceEventKind,
+    TraceRing, Tuple, Value,
 };
-use clash_optimizer::{OutputAction, Rule, TopologyPlan};
+use clash_optimizer::{Rule, SendTarget, TopologyPlan};
 use std::sync::mpsc::Sender;
 use std::sync::Arc;
 use std::time::Instant;
-
-/// Per-store construction data shipped by the coordinator on (re)install:
-/// expiry windows and indexed attributes, both derived from the catalog
-/// and the plan exactly as the sequential engine derives them.
-#[derive(Debug, Clone)]
-pub(crate) struct StoreLayout {
-    /// Expiry window per store.
-    pub windows: FxHashMap<StoreId, Window>,
-    /// Indexed attributes per store.
-    pub indexed: FxHashMap<StoreId, Vec<AttrRef>>,
-}
-
-impl StoreLayout {
-    /// Derives the layout for a plan from the catalog.
-    pub fn derive(catalog: &Catalog, plan: &TopologyPlan) -> StoreLayout {
-        let mut windows = FxHashMap::default();
-        let mut indexed = FxHashMap::default();
-        for def in &plan.stores {
-            windows.insert(def.id, store_window(catalog, def.descriptor.relations));
-            indexed.insert(def.id, indexed_attrs(plan, def.id));
-        }
-        StoreLayout { windows, indexed }
-    }
-}
 
 /// A probe that ran against a forward-fed store and stays registered until
 /// the watermark proves no earlier insert is still in flight.
@@ -148,47 +130,16 @@ impl PendingSet {
     }
 }
 
-/// Records one emitted join result: counts it, streams it to the
-/// subscription (clearing a hung-up subscriber) and retains it for the
-/// coordinator when requested. The single emission path of both the
-/// probe-time and the retroactive match — a free function over disjoint
-/// fields so call sites holding store/pending borrows can still use it.
-fn emit_result(
-    metrics: &mut EngineMetrics,
-    results: &mut Vec<(QueryId, Tuple)>,
-    subscription: &mut Option<Sender<(QueryId, Tuple)>>,
-    forward_results: bool,
-    query: QueryId,
-    joined: &Tuple,
-    started: Instant,
-) {
-    *metrics.results.entry(query).or_default() += 1;
-    metrics.record_latency(query, started.elapsed());
-    if let Some(tx) = subscription {
-        if tx.send((query, joined.clone())).is_err() {
-            // The subscriber hung up: stop paying the per-result clone.
-            *subscription = None;
-        }
-    }
-    if forward_results {
-        results.push((query, joined.clone()));
-    }
-}
-
 /// The state owned by one worker thread.
 #[derive(Debug)]
 pub(crate) struct ShardState {
-    workers: usize,
     plan: Arc<TopologyPlan>,
-    stores: FxHashMap<StoreId, StoreInstance>,
+    /// The owned store partitions and the rules that act on them.
+    pub rules: Interpreter,
     /// Forward-fed stores requiring symmetric probing.
     symmetric: Arc<FxHashSet<StoreId>>,
     /// Pending probers per forward-fed store, indexed by join-key value.
     pending: FxHashMap<StoreId, PendingSet>,
-    epoch: EpochConfig,
-    /// Epoch lag before cold epochs freeze into columnar segments
-    /// (`EngineConfig::freeze_after_epochs`; `0` disables the cold tier).
-    freeze_after: u64,
     /// Metrics delta since the last collection barrier.
     pub metrics: EngineMetrics,
     /// Statistics delta since the last collection barrier.
@@ -219,13 +170,10 @@ impl ShardState {
         trace: TraceRing,
     ) -> Self {
         let mut shard = ShardState {
-            workers,
             plan: Arc::new(TopologyPlan::default()),
-            stores: FxHashMap::default(),
+            rules: Interpreter::new(epoch, freeze_after, workers),
             symmetric: Arc::new(FxHashSet::default()),
             pending: FxHashMap::default(),
-            epoch,
-            freeze_after,
             metrics: EngineMetrics::default(),
             stats: StatsCollector::new(epoch.length),
             results: Vec::new(),
@@ -255,206 +203,165 @@ impl ShardState {
         layout: &StoreLayout,
         symmetric: Arc<FxHashSet<StoreId>>,
     ) {
-        let mut existing: FxHashMap<String, StoreInstance> = self
-            .stores
-            .drain()
-            .map(|(_, s)| (s.descriptor.key(), s))
-            .collect();
-        for def in &plan.stores {
-            let window = layout.windows.get(&def.id).copied().unwrap_or_default();
-            let indexed = layout.indexed.get(&def.id).cloned().unwrap_or_default();
-            let instance = match existing.remove(&def.descriptor.key()) {
-                Some(mut s) => {
-                    for attr in indexed {
-                        s.add_indexed_attr(attr);
-                    }
-                    s.window = window;
-                    s
-                }
-                None => StoreInstance::new(def.descriptor, window, indexed),
-            };
-            self.stores.insert(def.id, instance);
-        }
+        self.rules.install(&plan, layout);
         self.plan = plan;
         self.symmetric = symmetric;
         self.pending.clear();
-        self.trace
-            .record(TraceEventKind::PlanInstall, 0, self.stores.len() as u64);
+        let stores = self.rules.stores().len() as u64;
+        self.trace.record(TraceEventKind::PlanInstall, 0, stores);
     }
 
     /// Executes the rules of one delivery, pushing generated forwards into
-    /// `out` and recording emissions locally.
-    pub fn process(&mut self, delivery: &Delivery, out: &mut Outbox) {
+    /// `forwards` and recording emissions locally.
+    pub fn process(&mut self, delivery: &Delivery, forwards: &mut ForwardBuffer) {
         let plan = Arc::clone(&self.plan);
         let key = (delivery.target.store, delivery.target.edge);
         let Some(rules) = plan.rules.get(&key) else {
             return;
         };
-        let epoch = self.epoch.epoch_of(delivery.tuple.ts);
-        let mut probed = false;
-        // Join-key of the probe for pending-prober indexing: stored-side
-        // accessor and probe-side value of the first predicate.
-        let mut probe_key: Option<(SlotAccessor, Value)> = None;
-        for rule in rules {
-            match rule {
-                Rule::Store => {
-                    let Some(partition) = delivery.store_partition else {
-                        continue;
-                    };
-                    let store = self
-                        .stores
-                        .get_mut(&delivery.target.store)
-                        .expect("store exists");
-                    store.insert_seq(partition, epoch, delivery.tuple.clone(), delivery.guard);
-                    self.trace.record(
-                        TraceEventKind::Insert,
-                        u64::from(delivery.target.store.0),
-                        delivery.guard,
-                    );
-                    if self.symmetric.contains(&delivery.target.store) {
-                        self.retro_probe(&plan, delivery.target.store, partition, delivery, out);
-                    }
-                }
-                Rule::Probe {
-                    predicates,
-                    outputs,
-                } => {
-                    if delivery.probe_partitions.is_empty() {
-                        continue;
-                    }
-                    probed = true;
-                    let store = self
-                        .stores
-                        .get(&delivery.target.store)
-                        .expect("store exists");
-                    if probe_key.is_none() && self.symmetric.contains(&delivery.target.store) {
-                        probe_key = store.predicate_sides(predicates).next().and_then(
-                            |(stored_side, probe_side)| {
-                                SlotAccessor::of(&probe_side)
-                                    .get(&delivery.tuple)
-                                    .map(|v| (SlotAccessor::of(&stored_side), v.clone()))
-                            },
-                        );
-                    }
-                    let window = store.window;
-                    let lo = self.epoch.epoch_of(window.horizon(delivery.tuple.ts));
-                    let epochs: Vec<Epoch> = (lo.0..=epoch.0).map(Epoch).collect();
-                    // Statistics must aggregate to what the sequential
-                    // engine records: one probe observation against the
-                    // whole-store size per logical probe. A broadcast probe
-                    // is split across the sharing workers, so each
-                    // contributes its local store slice (the slices sum to
-                    // the whole store) and only the worker holding
-                    // partition 0 counts the probe itself. A hashed probe
-                    // runs on one worker, which extrapolates the whole
-                    // store size from its shard.
-                    let counts_probe =
-                        !delivery.broadcast || delivery.probe_partitions.contains(&0);
-                    let est_size = if delivery.broadcast {
-                        store.len() as u64
-                    } else {
-                        let sharing = workers_of_store(store.parallelism(), self.workers) as u64;
-                        store.len() as u64 * sharing
-                    };
-                    let mut matches = Vec::new();
-                    for &p in &delivery.probe_partitions {
-                        matches.extend(store.probe_seq(
-                            p,
-                            &epochs,
-                            &delivery.tuple,
-                            predicates,
-                            Some(delivery.guard),
-                        ));
-                    }
-                    if counts_probe {
-                        self.metrics.probes += 1;
-                    }
-                    self.trace.record(
-                        TraceEventKind::Probe,
-                        u64::from(delivery.target.store.0),
-                        matches.len() as u64,
-                    );
-                    self.stats.record_probe_obs(
-                        epoch,
-                        predicates,
-                        u64::from(counts_probe),
-                        matches.len() as u64,
-                        est_size,
-                    );
-                    for matched in matches {
-                        let Some(joined) = delivery.tuple.join(&matched) else {
-                            continue;
-                        };
-                        for action in outputs {
-                            match action {
-                                OutputAction::Emit { query } => {
-                                    emit_result(
-                                        &mut self.metrics,
-                                        &mut self.results,
-                                        &mut self.subscription,
-                                        self.forward_results,
-                                        *query,
-                                        &joined,
-                                        delivery.started,
-                                    );
-                                }
-                                OutputAction::Forward(next) => {
-                                    out.forward(
-                                        &plan,
-                                        self.workers,
-                                        *next,
-                                        joined.clone(),
-                                        delivery.guard,
-                                        &delivery.root,
-                                        delivery.started,
-                                        &mut self.metrics,
-                                    );
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
+        let symmetric = self.symmetric.contains(&delivery.target.store);
+        let step = Step {
+            target: delivery.target,
+            tuple: &delivery.tuple,
+            probe_partitions: &delivery.probe_partitions,
+            store_partition: delivery.store_partition,
+            broadcast: delivery.broadcast,
+            guard: Some(delivery.guard),
+            started: delivery.started,
+        };
+        let mut out = ShardOutbox {
+            plan: &plan,
+            workers: self.rules.workers,
+            epoch: self.rules.epoch,
+            delivery,
+            forwards,
+            pending: symmetric
+                .then(|| self.pending.get(&delivery.target.store))
+                .flatten(),
+            results: &mut self.results,
+            forward_results: self.forward_results,
+            subscription: &mut self.subscription,
+        };
+        let mut rec = Recorders {
+            metrics: &mut self.metrics,
+            stats: &mut self.stats,
+            trace: &mut self.trace,
+        };
+        self.rules.apply(rules, &step, &mut rec, &mut out);
         // Register the probe for symmetric completion: a later-arriving
         // insert with a smaller guard must still find it (via the join-key
-        // index when the probe carries one).
-        if probed && self.symmetric.contains(&delivery.target.store) {
-            self.pending
-                .entry(delivery.target.store)
-                .or_default()
-                .register(
-                    PendingProber {
-                        guard: delivery.guard,
-                        tuple: delivery.tuple.clone(),
-                        partitions: delivery.probe_partitions.clone(),
-                        key,
-                        started: delivery.started,
-                    },
-                    probe_key,
-                );
+        // index when the probe carries one: stored-side accessor and
+        // probe-side value of the first probe rule's first predicate).
+        if !symmetric || delivery.probe_partitions.is_empty() {
+            return;
+        }
+        let Some(predicates) = rules.iter().find_map(|rule| match rule {
+            Rule::Probe { predicates, .. } => Some(predicates),
+            _ => None,
+        }) else {
+            return;
+        };
+        let probe_key = self
+            .rules
+            .stores()
+            .get(&delivery.target.store)
+            .and_then(|store| store.predicate_sides(predicates).next())
+            .and_then(|(stored_side, probe_side)| {
+                SlotAccessor::of(&probe_side)
+                    .get(&delivery.tuple)
+                    .map(|v| (SlotAccessor::of(&stored_side), v.clone()))
+            });
+        self.pending
+            .entry(delivery.target.store)
+            .or_default()
+            .register(
+                PendingProber {
+                    guard: delivery.guard,
+                    tuple: delivery.tuple.clone(),
+                    partitions: delivery.probe_partitions.clone(),
+                    key,
+                    started: delivery.started,
+                },
+                probe_key,
+            );
+    }
+
+    /// Drops pending probers that can no longer receive late inserts: all
+    /// roots below their guard have completed (watermark >= guard - 1).
+    pub fn gc_probers(&mut self, watermark: u64) {
+        for pending in self.pending.values_mut() {
+            pending.gc(watermark);
+        }
+        self.pending.retain(|_, p| !p.is_empty());
+    }
+}
+
+/// A shard's outbox for one delivery: forwards fan out to the owning
+/// workers, emitted results stream to the subscription and are retained
+/// for the coordinator when requested, and inserts at symmetric stores
+/// retro-match the registered pending probers.
+struct ShardOutbox<'a> {
+    plan: &'a TopologyPlan,
+    workers: usize,
+    epoch: EpochConfig,
+    delivery: &'a Delivery,
+    forwards: &'a mut ForwardBuffer,
+    /// Pending probers of the target store, when it is symmetric.
+    pending: Option<&'a PendingSet>,
+    results: &'a mut Vec<(QueryId, Tuple)>,
+    forward_results: bool,
+    subscription: &'a mut Option<Sender<(QueryId, Tuple)>>,
+}
+
+impl Outbox for ShardOutbox<'_> {
+    fn emit(&mut self, query: QueryId, joined: &Tuple) {
+        if let Some(tx) = self.subscription {
+            if tx.send((query, joined.clone())).is_err() {
+                // The subscriber hung up: stop paying the per-result clone.
+                *self.subscription = None;
+            }
+        }
+        if self.forward_results {
+            self.results.push((query, joined.clone()));
         }
     }
 
-    /// Matches a just-applied insert against the registered pending
+    fn forward(
+        &mut self,
+        target: SendTarget,
+        joined: Tuple,
+        guard: Option<u64>,
+        started: Instant,
+        metrics: &mut EngineMetrics,
+    ) {
+        // Shards always apply rules guarded.
+        let guard = guard.unwrap_or(self.delivery.guard);
+        let root = &self.delivery.root;
+        for (worker, delivery) in fan_out(
+            self.plan,
+            self.workers,
+            target,
+            joined,
+            guard,
+            root,
+            started,
+            metrics,
+        ) {
+            self.forwards.push(worker, delivery);
+        }
+    }
+
+    /// Matches the just-applied insert against the registered pending
     /// probers of the store: the symmetric half of probe processing. Only
     /// probers with a *larger* guard qualify (they logically ran after
     /// this insert), and all timestamp/window/predicate checks mirror
     /// `StoreInstance::probe` exactly. Candidates come from the join-key
     /// index (plus the unkeyed scan list), so the cost is proportional to
     /// the probers that can actually match, not to everything in flight.
-    fn retro_probe(
-        &mut self,
-        plan: &TopologyPlan,
-        store_id: StoreId,
-        partition: usize,
-        delivery: &Delivery,
-        out: &mut Outbox,
-    ) {
-        let Some(pending) = self.pending.get(&store_id) else {
+    fn stored(&mut self, store: &StoreInstance, partition: usize, rec: &mut Recorders<'_>) {
+        let (Some(pending), plan, delivery) = (self.pending, self.plan, self.delivery) else {
             return;
         };
-        let store = self.stores.get(&store_id).expect("store exists");
         let inserted = &delivery.tuple;
         let mut candidates: Vec<&PendingProber> = Vec::new();
         for (edge, stored_slot) in &pending.edge_keys {
@@ -507,131 +414,22 @@ impl ShardState {
                 // The sequential engine would have counted this match
                 // inside the original probe's observation, so contribute
                 // the match without another probe count or size share.
-                self.stats.record_probe_obs(
+                rec.stats.record_probe_obs(
                     self.epoch.epoch_of(prober.tuple.ts),
                     predicates,
                     0,
                     1,
                     0,
                 );
-                for action in outputs {
-                    match action {
-                        OutputAction::Emit { query } => {
-                            emit_result(
-                                &mut self.metrics,
-                                &mut self.results,
-                                &mut self.subscription,
-                                self.forward_results,
-                                *query,
-                                &joined,
-                                prober.started,
-                            );
-                        }
-                        OutputAction::Forward(next) => {
-                            out.forward(
-                                plan,
-                                self.workers,
-                                *next,
-                                joined.clone(),
-                                prober.guard,
-                                &delivery.root,
-                                prober.started,
-                                &mut self.metrics,
-                            );
-                        }
-                    }
-                }
+                emit(
+                    outputs,
+                    &joined,
+                    Some(prober.guard),
+                    prober.started,
+                    rec.metrics,
+                    self,
+                );
             }
         }
     }
-
-    /// Drops pending probers that can no longer receive late inserts: all
-    /// roots below their guard have completed (watermark >= guard - 1).
-    pub fn gc_probers(&mut self, watermark: u64) {
-        for pending in self.pending.values_mut() {
-            pending.gc(watermark);
-        }
-        self.pending.retain(|_, p| !p.is_empty());
-    }
-
-    /// Expires out-of-window tuples from every owned partition, given the
-    /// maximum stream timestamp observed by the coordinator. Epochs that
-    /// lag the stream clock by `freeze_after` epochs are first compacted
-    /// into frozen columnar segments (the pass rides the same expiry /
-    /// collection barriers the epoch driver already triggers).
-    pub fn expire(&mut self, upto: Timestamp) -> usize {
-        if self.freeze_after > 0 {
-            let clock = self.epoch.epoch_of(upto);
-            let freeze_horizon = Epoch(clock.0.saturating_sub(self.freeze_after));
-            for (id, store) in self.stores.iter_mut() {
-                let built = store.freeze_before(freeze_horizon);
-                if built > 0 {
-                    self.trace
-                        .record(TraceEventKind::Compaction, u64::from(id.0), built as u64);
-                }
-            }
-        }
-        let mut removed = 0;
-        for store in self.stores.values_mut() {
-            let horizon = store.window.horizon(upto);
-            removed += store.expire(horizon);
-        }
-        self.trace.record(TraceEventKind::Expire, removed as u64, 0);
-        removed
-    }
-
-    /// `(tuples, bytes)` currently held by this shard.
-    pub fn store_totals(&self) -> (usize, usize) {
-        (
-            self.stores.values().map(|s| s.len()).sum(),
-            self.stores.values().map(|s| s.bytes()).sum(),
-        )
-    }
-
-    /// Per-store size and index shape of this shard, sorted by store id —
-    /// shipped in barrier acks for the telemetry surface.
-    pub fn store_detail(&self) -> Vec<StoreDetail> {
-        let mut detail: Vec<StoreDetail> = self
-            .stores
-            .iter()
-            .map(|(id, store)| {
-                let (posting_lists, spilled_postings) = store.posting_stats();
-                let (segments, segment_bytes) = store.segment_stats();
-                StoreDetail {
-                    store: *id,
-                    tuples: store.len(),
-                    bytes: store.bytes(),
-                    posting_lists,
-                    spilled_postings,
-                    segments,
-                    segment_bytes,
-                    compactions: store.compactions(),
-                }
-            })
-            .collect();
-        detail.sort_by_key(|d| d.store.0);
-        detail
-    }
-}
-
-/// Per-store shard-local sizes for the telemetry surface: what one worker
-/// holds of a store, summed across workers by the coordinator.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct StoreDetail {
-    /// The store.
-    pub store: StoreId,
-    /// Tuples held by this shard's partitions.
-    pub tuples: usize,
-    /// Approximate bytes held by this shard's partitions.
-    pub bytes: usize,
-    /// Distinct (attribute, value) posting lists in the hash indexes.
-    pub posting_lists: usize,
-    /// Posting lists spilled past the inline capacity to a heap vector.
-    pub spilled_postings: usize,
-    /// Frozen columnar segments currently held (cold tier).
-    pub segments: usize,
-    /// Live flattened bytes held by the frozen segments.
-    pub segment_bytes: usize,
-    /// Segments built by this shard's stores since startup (monotone).
-    pub compactions: u64,
 }

@@ -8,8 +8,9 @@
 //! remaining races.
 
 use crate::metrics::EngineMetrics;
-use crate::parallel::router::{fan_out, DepthGauges, Progress, RootHandle};
-use crate::parallel::shard::{ShardState, StoreDetail, StoreLayout};
+use crate::parallel::router::{DepthGauges, Progress, RootHandle};
+use crate::parallel::shard::ShardState;
+use crate::rules::{StoreDetail, StoreLayout};
 use crate::stats_collector::StatsCollector;
 use clash_common::{
     arena_stats, ArenaStats, EpochConfig, FxHashSet, QueryId, StoreId, Timestamp, TraceEvent,
@@ -121,46 +122,23 @@ pub(crate) struct WorkerAck {
 
 /// Collects the deliveries generated while processing one message and
 /// ships them per target worker in one go.
-pub(crate) struct Outbox {
+pub(crate) struct ForwardBuffer {
     direct: Vec<Vec<Delivery>>,
     gauges: Arc<DepthGauges>,
 }
 
-impl Outbox {
-    /// An empty outbox for `workers` targets.
+impl ForwardBuffer {
+    /// An empty buffer for `workers` targets.
     pub fn new(workers: usize, gauges: Arc<DepthGauges>) -> Self {
-        Outbox {
+        ForwardBuffer {
             direct: (0..workers).map(|_| Vec::new()).collect(),
             gauges,
         }
     }
 
-    /// Routes one forwarded tuple, accounting the send in `metrics`
-    /// exactly as the sequential engine would (copies per partition,
-    /// broadcast counter).
-    #[allow(clippy::too_many_arguments)]
-    pub fn forward(
-        &mut self,
-        plan: &TopologyPlan,
-        workers: usize,
-        target: SendTarget,
-        tuple: Tuple,
-        guard: u64,
-        root: &Arc<RootHandle>,
-        started: Instant,
-        metrics: &mut EngineMetrics,
-    ) {
-        let Some((spec, deliveries)) = fan_out(plan, workers, target, tuple, guard, root, started)
-        else {
-            return;
-        };
-        metrics.tuples_sent += spec.copies();
-        if spec.broadcast {
-            metrics.broadcasts += 1;
-        }
-        for (worker, delivery) in deliveries {
-            self.direct[worker].push(delivery);
-        }
+    /// Queues one delivery for `worker`.
+    pub fn push(&mut self, worker: usize, delivery: Delivery) {
+        self.direct[worker].push(delivery);
     }
 
     /// Ships everything to the target workers.
@@ -239,7 +217,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
         match msg {
             WorkerMsg::Batch(deliveries) => {
                 let started = Instant::now();
-                let mut out = Outbox::new(workers, depth.clone());
+                let mut out = ForwardBuffer::new(workers, depth.clone());
                 for delivery in &deliveries {
                     shard.process(delivery, &mut out);
                     delivery.root.finish_one();
@@ -250,7 +228,9 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 shard.metrics.busy += started.elapsed();
             }
             WorkerMsg::Collect { token, expire_upto } => {
-                let expired = expire_upto.map(|upto| shard.expire(upto)).unwrap_or(0);
+                let expired = expire_upto
+                    .map(|upto| shard.rules.expire(upto, &mut shard.trace))
+                    .unwrap_or(0);
                 shard.gc_probers(progress.watermark());
                 shard
                     .trace
@@ -275,7 +255,7 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
                 }
             }
             WorkerMsg::Expire { upto } => {
-                shard.expire(upto);
+                shard.rules.expire(upto, &mut shard.trace);
             }
             WorkerMsg::ForwardResults(on) => {
                 shard.forward_results = on;
@@ -295,16 +275,16 @@ pub(crate) fn run_worker(ctx: WorkerCtx, rx: Receiver<WorkerMsg>) {
 /// ack-producing arms (`Collect`, `Install`) go through this single point
 /// so no delta can be taken in one path and forgotten in the other.
 fn drain_ack(shard: &mut ShardState, worker: usize, token: u64, expired: usize) -> WorkerAck {
-    let (store_tuples, store_bytes) = shard.store_totals();
+    let per_store = shard.rules.store_detail();
     WorkerAck {
         worker,
         token,
         metrics: std::mem::take(&mut shard.metrics),
         stats: shard.stats.take_delta(),
         results: std::mem::take(&mut shard.results),
-        store_tuples,
-        store_bytes,
-        per_store: shard.store_detail(),
+        store_tuples: per_store.iter().map(|d| d.tuples).sum(),
+        store_bytes: per_store.iter().map(|d| d.bytes).sum(),
+        per_store,
         expired,
         trace: shard.trace.drain(),
         // Thread-local: meaningful only when sampled on the worker thread.

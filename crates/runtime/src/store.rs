@@ -255,7 +255,11 @@ pub fn partition_hash(value: &Value, parallelism: usize) -> usize {
 
 impl StoreInstance {
     /// Creates an empty store.
-    pub fn new(descriptor: StoreDescriptor, window: Window, indexed_attrs: Vec<AttrRef>) -> Self {
+    pub fn new(
+        descriptor: StoreDescriptor,
+        window: Window,
+        indexed_attrs: impl IntoIterator<Item = AttrRef>,
+    ) -> Self {
         let parallelism = descriptor.parallelism.max(1);
         StoreInstance {
             descriptor,

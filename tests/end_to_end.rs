@@ -7,7 +7,7 @@ use clash_core::{ClashSystem, Strategy, SystemConfig};
 use clash_datagen::{SyntheticEnv, SyntheticWorkloadConfig, TpchGenerator, TpchWorkload};
 use clash_optimizer::Planner;
 use clash_query::JoinQuery;
-use clash_runtime::{EngineConfig, LocalEngine};
+use clash_runtime::{EngineConfig, LocalEngine, ParallelEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -126,7 +126,11 @@ fn engine_matches_reference_join_for_all_strategies() {
     let planner = Planner::with_defaults(&catalog, &stats);
     for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
         let report = planner.plan(&queries, strategy).unwrap();
-        let mut engine = LocalEngine::new(catalog.clone(), report.plan, EngineConfig::default());
+        let mut engine = LocalEngine::new(
+            catalog.clone(),
+            report.plan.clone(),
+            EngineConfig::default(),
+        );
         for (relation, tuple) in &stream {
             engine.ingest(*relation, tuple.clone()).unwrap();
         }
@@ -141,6 +145,30 @@ fn engine_matches_reference_join_for_all_strategies() {
             expected_q2,
             "{strategy:?} q2 result count"
         );
+        // The parallel runtime against the same naive oracle, which shares
+        // no code with either engine.
+        for workers in [1usize, 2, 3] {
+            let mut engine = ParallelEngine::new(
+                catalog.clone(),
+                report.plan.clone(),
+                EngineConfig::default(),
+                workers,
+            );
+            for (relation, tuple) in &stream {
+                engine.ingest(*relation, tuple.clone()).unwrap();
+            }
+            let snap = engine.snapshot();
+            assert_eq!(
+                snap.results_for(QueryId::new(0)),
+                expected_q1,
+                "{strategy:?} q1 result count, {workers} workers"
+            );
+            assert_eq!(
+                snap.results_for(QueryId::new(1)),
+                expected_q2,
+                "{strategy:?} q2 result count, {workers} workers"
+            );
+        }
     }
 }
 

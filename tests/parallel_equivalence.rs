@@ -84,7 +84,7 @@ fn run_local(
     queries: &[clash_query::JoinQuery],
     strategy: Strategy,
     stream: &[(RelationId, Tuple)],
-) -> (Vec<String>, u64, u64) {
+) -> (Vec<String>, u64, u64, u64) {
     let stats = Statistics::new();
     let planner = Planner::with_defaults(catalog, &stats);
     let report = planner.plan(queries, strategy).unwrap();
@@ -101,6 +101,7 @@ fn run_local(
         result_multiset(engine.results()),
         snap.total_results(),
         snap.tuples_sent,
+        snap.probes,
     )
 }
 
@@ -110,7 +111,7 @@ fn run_parallel(
     strategy: Strategy,
     stream: &[(RelationId, Tuple)],
     workers: usize,
-) -> (Vec<String>, u64, u64) {
+) -> (Vec<String>, u64, u64, u64) {
     let stats = Statistics::new();
     let planner = Planner::with_defaults(catalog, &stats);
     let report = planner.plan(queries, strategy).unwrap();
@@ -127,6 +128,7 @@ fn run_parallel(
         result_multiset(&engine.results()),
         snap.total_results(),
         snap.tuples_sent,
+        snap.probes,
     )
 }
 
@@ -136,11 +138,11 @@ fn parallel_engine_matches_local_engine_result_multisets() {
         let (catalog, queries) = catalog_with_parallelism(parallelism);
         let stream = random_stream(&catalog, 40, 6, 0xC1A5, false);
         for strategy in [Strategy::Independent, Strategy::Shared, Strategy::GlobalIlp] {
-            let (local_set, local_total, local_sent) =
+            let (local_set, local_total, local_sent, local_probes) =
                 run_local(&catalog, &queries, strategy, &stream);
             assert!(local_total > 0, "workload must produce results");
             for workers in [1usize, 2, 4, 7] {
-                let (par_set, par_total, par_sent) =
+                let (par_set, par_total, par_sent, par_probes) =
                     run_parallel(&catalog, &queries, strategy, &stream, workers);
                 assert_eq!(
                     local_total, par_total,
@@ -153,6 +155,10 @@ fn parallel_engine_matches_local_engine_result_multisets() {
                 assert_eq!(
                     local_sent, par_sent,
                     "{strategy:?} probe cost, {workers} workers, parallelism {parallelism}"
+                );
+                assert_eq!(
+                    local_probes, par_probes,
+                    "{strategy:?} probe count, {workers} workers, parallelism {parallelism}"
                 );
             }
         }
@@ -168,11 +174,11 @@ fn parallel_engine_matches_local_engine_on_out_of_order_streams() {
     let (catalog, queries) = catalog_with_parallelism(4);
     for seed in [1u64, 2, 3] {
         let stream = random_stream(&catalog, 30, 5, seed, true);
-        let (local_set, local_total, _) =
+        let (local_set, local_total, _, _) =
             run_local(&catalog, &queries, Strategy::GlobalIlp, &stream);
         assert!(local_total > 0);
         for workers in [2usize, 4] {
-            let (par_set, _, _) =
+            let (par_set, _, _, _) =
                 run_parallel(&catalog, &queries, Strategy::GlobalIlp, &stream, workers);
             assert_eq!(local_set, par_set, "seed {seed}, {workers} workers");
         }
@@ -185,7 +191,7 @@ fn repeated_parallel_runs_are_deterministic() {
     // result multiset (and all counted metrics) must not.
     let (catalog, queries) = catalog_with_parallelism(4);
     let stream = random_stream(&catalog, 30, 5, 7, false);
-    let runs: Vec<(Vec<String>, u64, u64)> = (0..3)
+    let runs: Vec<(Vec<String>, u64, u64, u64)> = (0..3)
         .map(|_| run_parallel(&catalog, &queries, Strategy::GlobalIlp, &stream, 4))
         .collect();
     assert_eq!(runs[0], runs[1]);
